@@ -13,8 +13,13 @@
 //!     captures the reference numbers (tree engine) into
 //!     crates/bench/data/perf_baseline.txt
 //!   cargo run -p ent-bench --release --bin perf_baseline [-- --jobs N] [--engine E]
-//!     measures both engines (or just E), compares against the stored
-//!     baseline, and writes BENCH_interp.json at the workspace root.
+//!     measures every engine (or just E), checks each benchmark's
+//!     semantics fingerprint against the stored baseline (exit 1 on any
+//!     mismatch), and writes BENCH_interp.json at the workspace root.
+//!
+//! Throughput is compared only between engines measured in the same
+//! process; the stored baseline's throughput column comes from whichever
+//! host captured it and is never divided into this host's numbers.
 //!
 //! `--jobs` parallelizes the compile + fingerprint-verification phase; the
 //! throughput timing loop always runs sequentially (concurrent timing on a
@@ -300,12 +305,8 @@ fn write_baseline(samples: &[Sample]) {
     eprintln!("baseline written to {}", path.display());
 }
 
-struct Baseline {
-    steps_per_sec: f64,
-    fingerprint: String,
-}
-
-fn read_baseline() -> Option<std::collections::BTreeMap<String, Baseline>> {
+/// The stored baseline's semantics fingerprint per benchmark name.
+fn read_baseline() -> Option<std::collections::BTreeMap<String, String>> {
     let text = std::fs::read_to_string(baseline_path()).ok()?;
     let mut map = std::collections::BTreeMap::new();
     for line in text.lines() {
@@ -314,17 +315,8 @@ fn read_baseline() -> Option<std::collections::BTreeMap<String, Baseline>> {
         }
         let mut parts = line.splitn(5, '\t');
         let name = parts.next()?.to_string();
-        let _steps = parts.next()?;
-        let sps: f64 = parts.next()?.parse().ok()?;
-        let _wall = parts.next()?;
-        let fp = parts.next()?.to_string();
-        map.insert(
-            name,
-            Baseline {
-                steps_per_sec: sps,
-                fingerprint: fp,
-            },
-        );
+        let fp = parts.nth(3)?.to_string();
+        map.insert(name, fp);
     }
     Some(map)
 }
@@ -335,7 +327,7 @@ fn main() {
             .collect::<Vec<_>>()
             .windows(2)
             .any(|w| w[0] == "--phase" && w[1] == "baseline");
-    let grid = ent_bench::parse_grid_args(0);
+    let grid = ent_bench::parse_grid_args_with(0, &["--phase"]);
     let engines: Vec<Engine> = if capture_baseline {
         // The stored baseline is the tree walker's numbers by definition.
         vec![Engine::Tree]
@@ -364,27 +356,16 @@ fn main() {
     let baseline = read_baseline();
     let mut json = String::from("{\n  \"suite\": \"fig6_e2_system_a\",\n  \"seed\": 42,\n");
     let _ = writeln!(json, "  \"benchmarks\": [");
-    let mut speedups = Vec::new();
     let mut engine_speedups = Vec::new();
     let mut threaded_speedups = Vec::new();
     let mut mismatches = Vec::new();
     for (i, s) in samples.iter().enumerate() {
-        // The headline number is the last engine probed (bytecode in the
-        // default two-engine sweep).
-        let fastest = s.by_engine.last().expect("engine measured").1.steps_per_sec;
-        let (base_sps, speedup, semantics_match) =
-            match baseline.as_ref().and_then(|b| b.get(&s.name)) {
-                Some(b) => {
-                    let matches = b.fingerprint == s.fingerprint;
-                    if !matches {
-                        mismatches.push(s.name.clone());
-                    }
-                    (b.steps_per_sec, fastest / b.steps_per_sec, matches)
-                }
-                None => (0.0, 0.0, true),
-            };
-        if speedup > 0.0 {
-            speedups.push(speedup);
+        let semantics_match = baseline
+            .as_ref()
+            .and_then(|b| b.get(&s.name))
+            .is_none_or(|fp| *fp == s.fingerprint);
+        if !semantics_match {
+            mismatches.push(s.name.clone());
         }
         let _ = write!(
             json,
@@ -419,10 +400,7 @@ fn main() {
             threaded_speedups.push(ratio);
             let _ = write!(json, ", \"threaded_over_bytecode\": {ratio:.3}");
         }
-        let _ = write!(
-            json,
-            ", \"baseline_steps_per_sec\": {base_sps:.1}, \"speedup\": {speedup:.3}, \"semantics_match\": {semantics_match}}}"
-        );
+        let _ = write!(json, ", \"semantics_match\": {semantics_match}}}");
         json.push_str(if i + 1 == samples.len() { "\n" } else { ",\n" });
     }
     let _ = writeln!(json, "  ],");
@@ -431,7 +409,6 @@ fn main() {
             .iter()
             .map(|s| s.by_engine.last().unwrap().1.steps_per_sec),
     );
-    let speedup_geo = geomean(speedups.iter().copied());
     let _ = writeln!(json, "  \"steps_per_sec_geomean\": {current_geo:.1},");
     if !engine_speedups.is_empty() {
         let _ = writeln!(
@@ -447,15 +424,6 @@ fn main() {
             geomean(threaded_speedups.iter().copied())
         );
     }
-    let _ = writeln!(
-        json,
-        "  \"speedup_geomean\": {:.3},",
-        if speedups.is_empty() {
-            0.0
-        } else {
-            speedup_geo
-        }
-    );
     let _ = writeln!(json, "  \"semantics_identical\": {}", mismatches.is_empty());
     json.push_str("}\n");
 
@@ -496,15 +464,7 @@ fn main() {
             geomean(threaded_speedups.iter().copied())
         );
     }
-    eprintln!(
-        "steps/sec geomean: {:.0}   speedup vs baseline: {}",
-        current_geo,
-        if speedups.is_empty() {
-            "n/a (no baseline captured)".to_string()
-        } else {
-            format!("{speedup_geo:.2}x")
-        }
-    );
+    eprintln!("steps/sec geomean: {current_geo:.0}");
     if !mismatches.is_empty() {
         eprintln!("SEMANTICS MISMATCH vs baseline in: {mismatches:?}");
         std::process::exit(1);

@@ -58,9 +58,8 @@ pub fn average_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
 /// Command-line arguments shared by the figure binaries:
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
 /// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient] [--adapt on|off|frozen] [--chunk N]`,
-/// where the positional value is the repeat count (the seed, for
-/// `fig11_e3_thermal`).
+/// [--enforce guarded|transient]`, where the positional value is the
+/// repeat count (the seed, for `fig11_e3_thermal`).
 #[derive(Clone, Debug)]
 pub struct GridArgs {
     /// The positional value (repeats or seed).
@@ -83,34 +82,56 @@ pub struct GridArgs {
     /// absent (the process default — `ENT_ENFORCE`, else guarded — stays
     /// in force).
     pub enforce: Option<ent_runtime::Enforcement>,
-    /// Adaptation mode from `--adapt`; `None` when the flag is absent
-    /// (the `ENT_ADAPT` environment variable, else off, stays in force).
-    pub adapt: Option<ent_runtime::AdaptMode>,
-    /// Scheduler chunk pin from `--chunk`; `None` when the flag is absent
-    /// (the scheduler derives a chunk from the batch shape).
-    pub chunk: Option<u32>,
 }
 
 /// Parses `std::env::args()` as
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
 /// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient] [--adapt on|off|frozen] [--chunk N]`. The
-/// jobs default comes from the `ENT_JOBS` environment variable (else 1);
-/// figure output is bit-identical at every jobs count, under both
-/// engines, at every chunk size, and in every adaptation mode, so those
-/// flags only change speed (and, for `--adapt`, telemetry stamps).
-/// `--enforce transient` changes which checks run, so it *does* change
-/// results — that's the point of the migration-lattice sweep. A
-/// malformed `--faults`, `--engine`, `--tier-up`, `--enforce`, or
-/// `--adapt` value exits with status 1, as does a zero or non-numeric
-/// `--jobs`, `--fault-seed`, or `--chunk` — never a silent default.
-/// `--engine`, `--tier-up`, and `--enforce` are installed process-wide
-/// via [`ent_workloads::set_default_engine`] /
+/// [--enforce guarded|transient]`. The jobs default comes from the
+/// `ENT_JOBS` environment variable (else 1); figure output is
+/// bit-identical at every jobs count and under every engine, so those
+/// flags only change speed. `--enforce transient` changes which checks
+/// run, so it *does* change results — that's the point of the
+/// migration-lattice sweep. An unknown `--flag`, a malformed `--faults`,
+/// `--engine`, `--tier-up`, or `--enforce` value, and a zero or
+/// non-numeric `--jobs` or `--fault-seed` all exit with status 1 — never
+/// a silent default. `--engine`, `--tier-up`, and `--enforce` are
+/// installed process-wide via [`ent_workloads::set_default_engine`] /
 /// [`ent_workloads::set_default_tier_up`] /
-/// [`ent_workloads::set_default_enforcement`]; `--adapt` and `--chunk`
-/// via [`ent_runtime::adapt::set_mode`] /
-/// [`ent_runtime::adapt::pin_chunk`].
+/// [`ent_workloads::set_default_enforcement`].
 pub fn parse_grid_args(default_value: u64) -> GridArgs {
+    parse_grid_args_with(default_value, &[])
+}
+
+/// [`parse_grid_args`] for a binary that parses value-taking flags of its
+/// own (`own_flags`, each given as `--flag V` or `--flag=V`): the grid
+/// parser skips them and their values instead of rejecting them.
+pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs {
+    let parsed = grid_args_from(std::env::args().skip(1), default_value, own_flags)
+        .unwrap_or_else(|message| exit_invalid(&message));
+    if let Some(engine) = parsed.engine {
+        ent_workloads::set_default_engine(engine);
+    }
+    if let Some(tier_up) = parsed.tier_up {
+        ent_workloads::set_default_tier_up(tier_up);
+    }
+    if let Some(enforcement) = parsed.enforce {
+        ent_workloads::set_default_enforcement(enforcement);
+    }
+    parsed
+}
+
+/// The pure half of [`parse_grid_args_with`]: parses `args` (without the
+/// program name) and installs nothing. Returns the usage error for the
+/// first malformed value or unknown `--flag`.
+fn grid_args_from(
+    args: impl IntoIterator<Item = String>,
+    default_value: u64,
+    own_flags: &[&str],
+) -> Result<GridArgs, String> {
+    let invalid = |flag: &str, value: &str, expected: &str| {
+        format!("invalid {flag} value {value:?} (expected {expected})")
+    };
     let mut parsed = GridArgs {
         value: default_value,
         jobs: ent_workloads::default_jobs(),
@@ -119,135 +140,71 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
         engine: None,
         tier_up: None,
         enforce: None,
-        adapt: None,
-        chunk: None,
     };
-    let mut args = std::env::args().skip(1);
-    let set_faults = |spec: &str, parsed: &mut GridArgs| match FaultPlan::parse(spec) {
-        Ok(plan) => parsed.faults = (!plan.is_noop()).then_some(plan),
-        Err(e) => {
-            eprintln!("invalid --faults spec: {e}");
-            std::process::exit(1);
-        }
-    };
-    let set_engine = |name: &str, parsed: &mut GridArgs| match ent_runtime::Engine::parse(name) {
-        Some(engine) => {
-            ent_workloads::set_default_engine(engine);
-            parsed.engine = Some(engine);
-        }
-        None => {
-            eprintln!("invalid --engine value {name:?} (expected tree, bytecode, or threaded)");
-            std::process::exit(1);
-        }
-    };
-    let set_tier_up = |name: &str, parsed: &mut GridArgs| match ent_runtime::TierUp::parse(name) {
-        Some(tier_up) => {
-            ent_workloads::set_default_tier_up(tier_up);
-            parsed.tier_up = Some(tier_up);
-        }
-        None => {
-            eprintln!("invalid --tier-up value {name:?} (expected 0, off, or a count)");
-            std::process::exit(1);
-        }
-    };
-    let set_enforce =
-        |name: &str, parsed: &mut GridArgs| match ent_runtime::Enforcement::parse(name) {
-            Some(enforcement) => {
-                ent_workloads::set_default_enforcement(enforcement);
-                parsed.enforce = Some(enforcement);
-            }
-            None => {
-                eprintln!("invalid --enforce value {name:?} (expected guarded or transient)");
-                std::process::exit(1);
-            }
-        };
-    let set_adapt = |name: &str, parsed: &mut GridArgs| match ent_runtime::AdaptMode::parse(name) {
-        Some(mode) => {
-            ent_runtime::adapt::set_mode(mode);
-            parsed.adapt = Some(mode);
-        }
-        None => {
-            eprintln!("invalid --adapt value {name:?} (expected on, off, or frozen)");
-            std::process::exit(1);
-        }
-    };
-    let set_chunk = |n: u32, parsed: &mut GridArgs| {
-        ent_runtime::adapt::pin_chunk(n);
-        parsed.chunk = Some(n);
-    };
-    let parse_jobs = |v: &str| -> usize {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => exit_invalid("--jobs", v, "a positive integer"),
-        }
-    };
-    let parse_seed = |v: &str| -> u64 {
-        v.parse()
-            .unwrap_or_else(|_| exit_invalid("--fault-seed", v, "a non-negative integer"))
-    };
-    let parse_chunk = |v: &str| -> u32 {
-        match v.parse::<u32>() {
-            Ok(n) if n >= 1 => n,
-            _ => exit_invalid("--chunk", v, "a positive integer"),
-        }
-    };
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == "--jobs" {
-            let v = args.next().unwrap_or_default();
-            parsed.jobs = parse_jobs(&v);
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            parsed.jobs = parse_jobs(v);
-        } else if a == "--faults" {
-            let spec = args.next().unwrap_or_default();
-            set_faults(&spec, &mut parsed);
-        } else if let Some(spec) = a.strip_prefix("--faults=") {
-            let spec = spec.to_string();
-            set_faults(&spec, &mut parsed);
-        } else if a == "--fault-seed" {
-            let v = args.next().unwrap_or_default();
-            parsed.fault_seed = parse_seed(&v);
-        } else if let Some(v) = a.strip_prefix("--fault-seed=") {
-            parsed.fault_seed = parse_seed(v);
-        } else if a == "--engine" {
-            let name = args.next().unwrap_or_default();
-            set_engine(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--engine=") {
-            let name = name.to_string();
-            set_engine(&name, &mut parsed);
-        } else if a == "--tier-up" {
-            let name = args.next().unwrap_or_default();
-            set_tier_up(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--tier-up=") {
-            let name = name.to_string();
-            set_tier_up(&name, &mut parsed);
-        } else if a == "--enforce" {
-            let name = args.next().unwrap_or_default();
-            set_enforce(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--enforce=") {
-            let name = name.to_string();
-            set_enforce(&name, &mut parsed);
-        } else if a == "--adapt" {
-            let name = args.next().unwrap_or_default();
-            set_adapt(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--adapt=") {
-            let name = name.to_string();
-            set_adapt(&name, &mut parsed);
-        } else if a == "--chunk" {
-            let v = args.next().unwrap_or_default();
-            set_chunk(parse_chunk(&v), &mut parsed);
-        } else if let Some(v) = a.strip_prefix("--chunk=") {
-            set_chunk(parse_chunk(v), &mut parsed);
-        } else if let Ok(v) = a.parse() {
-            parsed.value = v;
+        if !a.starts_with("--") {
+            if let Ok(v) = a.parse() {
+                parsed.value = v;
+            }
+            continue;
+        }
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        let v = inline.unwrap_or_else(|| args.next().unwrap_or_default());
+        match flag {
+            "--jobs" => {
+                parsed.jobs = match v.parse::<usize>() {
+                    Ok(n) if n >= 1 => n,
+                    _ => return Err(invalid(flag, &v, "a positive integer")),
+                };
+            }
+            "--faults" => {
+                let plan =
+                    FaultPlan::parse(&v).map_err(|e| format!("invalid --faults spec: {e}"))?;
+                parsed.faults = (!plan.is_noop()).then_some(plan);
+            }
+            "--fault-seed" => {
+                parsed.fault_seed = v
+                    .parse()
+                    .map_err(|_| invalid(flag, &v, "a non-negative integer"))?;
+            }
+            "--engine" => {
+                parsed.engine = Some(
+                    ent_runtime::Engine::parse(&v)
+                        .ok_or_else(|| invalid(flag, &v, "tree, bytecode, or threaded"))?,
+                );
+            }
+            "--tier-up" => {
+                parsed.tier_up = Some(
+                    ent_runtime::TierUp::parse(&v)
+                        .ok_or_else(|| invalid(flag, &v, "0, off, or a count"))?,
+                );
+            }
+            "--enforce" => {
+                parsed.enforce = Some(
+                    ent_runtime::Enforcement::parse(&v)
+                        .ok_or_else(|| invalid(flag, &v, "guarded or transient"))?,
+                );
+            }
+            _ if own_flags.contains(&flag) => {}
+            _ => {
+                return Err(format!(
+                    "unknown option {flag:?} (expected --jobs, --faults, --fault-seed, \
+                     --engine, --tier-up, or --enforce)"
+                ))
+            }
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 /// The grid bins' usage-error exit: print what was wrong and stop with
 /// status 1 — a malformed knob must never fall back to a default.
-fn exit_invalid(flag: &str, value: &str, expected: &str) -> ! {
-    eprintln!("invalid {flag} value {value:?} (expected {expected})");
+fn exit_invalid(message: &str) -> ! {
+    eprintln!("{message}");
     std::process::exit(1);
 }
 
@@ -1234,6 +1191,45 @@ mod tests {
         assert!(s.starts_with('▁') && s.ends_with('█'));
     }
 
+    fn grid(args: &[&str], own_flags: &[&str]) -> Result<GridArgs, String> {
+        grid_args_from(args.iter().map(|a| a.to_string()), 5, own_flags)
+    }
+
+    #[test]
+    fn grid_args_parse_values_and_reject_unknown_flags() {
+        let g = grid(
+            &["3", "--jobs=2", "--engine", "tree", "--fault-seed", "9"],
+            &[],
+        )
+        .unwrap();
+        assert_eq!((g.value, g.jobs, g.fault_seed), (3, 2, 9));
+        assert_eq!(g.engine, Some(ent_runtime::Engine::Tree));
+        let g = grid(&["--faults", "chaos", "--tier-up=off"], &[]).unwrap();
+        assert_eq!(g.value, 5);
+        assert!(g.faults.is_some());
+        assert_eq!(g.tier_up, Some(ent_runtime::TierUp::Never));
+
+        // A typo or a removed flag is a usage error, not a silent repeat
+        // count taken from its value.
+        for args in [
+            &["--jbos", "8"][..],
+            &["2", "--chunk", "4"],
+            &["--adapt=on"],
+        ] {
+            let err = grid(args, &[]).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains("unknown option"), "{err}");
+        }
+        assert!(grid(&["--jobs", "0"], &[]).is_err());
+        assert!(grid(&["--engine", "jit"], &[]).is_err());
+
+        // A binary's own flags are skipped with their values.
+        let g = grid(&["--fuzz-iters", "200", "--jobs", "2"], &["--fuzz-iters"]).unwrap();
+        assert_eq!((g.value, g.jobs), (5, 2));
+        let g = grid(&["--phase=baseline"], &["--phase"]).unwrap();
+        assert_eq!(g.value, 5);
+        assert!(grid(&["--phase", "baseline"], &["--fuzz-iters"]).is_err());
+    }
+
     #[test]
     fn write_sched_emits_valid_batch_telemetry() {
         // Drive at least one batch so the totals are non-trivial, then
@@ -1249,7 +1245,6 @@ mod tests {
             "\"batches\":",
             "\"steals\":",
             "\"chunks_claimed\":",
-            "\"adapt\":",
             "\"cache\":",
             "\"entries\":",
             "\"shard_entries\": [",

@@ -47,8 +47,6 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
     for (flag, value, named) in [
         ("--staleness-bound", "0", "staleness bound"),
         ("--staleness-bound", "soon", "staleness bound"),
-        ("--chunk", "0", "chunk size"),
-        ("--chunk", "many", "chunk size"),
         ("--sample-period", "0", "sample period"),
         ("--sample-period", "often", "sample period"),
     ] {

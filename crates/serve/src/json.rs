@@ -198,12 +198,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte 0x{c:02x} in string"));
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // encoding is already valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8")?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain bytes up to the next quote,
+                // backslash, or control byte in one go. Those stop bytes
+                // are ASCII, so the run ends on a char boundary of the
+                // (already valid UTF-8) input and is validated once.
+                let start = *pos;
+                while let Some(&c) = bytes.get(*pos) {
+                    if c == b'"' || c == b'\\' || c < 0x20 {
+                        break;
+                    }
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf-8")?);
             }
         }
     }
