@@ -103,8 +103,9 @@ mod tests {
         // energy.
         let spec = benchmark("pagerank").unwrap();
         let platform = platform_of(PlatformKind::SystemA);
+        let settings = ent_runtime::Settings::from_env();
         for boot in 0..3 {
-            let ent = run_e2(&spec, PlatformKind::SystemA, boot, 2, 9);
+            let ent = run_e2(&spec, PlatformKind::SystemA, boot, 2, 9, settings);
             let src = untyped_e2_program(&spec, &platform, 2);
             let compiled = compile(&src).unwrap();
             let untyped = run(

@@ -14,13 +14,14 @@
 //!
 //! Usage:
 //!   cargo run -p ent-bench --release --bin chaos_resilience
+//! (no flags; engine, tier-up and enforcement come from `ENT_*`)
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ent_bench::fig8;
 use ent_energy::{FaultPlan, PlatformKind};
-use ent_runtime::{RunResult, RuntimeConfig};
+use ent_runtime::{RunResult, RuntimeConfig, Settings};
 use ent_workloads::{
     e1_program, lowered_cached, platform_for, prepare_e1, run_batch_outcomes, BatchPolicy,
     BenchmarkSpec, PreparedProgram,
@@ -51,11 +52,11 @@ fn fingerprint(result: &RunResult) -> String {
     )
 }
 
-fn e1_suite() -> Vec<(BenchmarkSpec, PreparedProgram)> {
+fn e1_suite(settings: Settings) -> Vec<(BenchmarkSpec, PreparedProgram)> {
     ent_bench::e_benchmarks(PlatformKind::SystemA)
         .into_iter()
         .map(|spec| {
-            let prog = prepare_e1(&spec, PlatformKind::SystemA, 1);
+            let prog = prepare_e1(&spec, PlatformKind::SystemA, 1, settings);
             (spec, prog)
         })
         .collect()
@@ -162,18 +163,19 @@ fn repo_root() -> PathBuf {
 
 fn main() {
     eprintln!("chaos resilience: zero-overhead-when-off check...");
-    let suite = e1_suite();
+    let settings = Settings::from_env();
+    let suite = e1_suite(settings);
     let zero_overhead = check_zero_overhead(&suite);
 
     eprintln!("chaos resilience: determinism check (full fig8 grid, twice)...");
     let plan = FaultPlan::chaos();
-    let rows_a = fig8::chaos_rows(1, &plan, FAULT_SEED);
-    let rows_b = fig8::chaos_rows(4, &plan, FAULT_SEED);
+    let rows_a = fig8::chaos_rows(1, &plan, FAULT_SEED, settings);
+    let rows_b = fig8::chaos_rows(4, &plan, FAULT_SEED, settings);
     let deterministic = chaos_fingerprint(&rows_a) == chaos_fingerprint(&rows_b);
     if !deterministic {
         eprintln!("  CHAOS GRID NOT DETERMINISTIC ACROSS RUNS/JOB COUNTS");
     }
-    let rows_other = fig8::chaos_rows(1, &plan, FAULT_SEED + 1);
+    let rows_other = fig8::chaos_rows(1, &plan, FAULT_SEED + 1, settings);
     let seed_sensitive = chaos_fingerprint(&rows_a) != chaos_fingerprint(&rows_other);
     if !seed_sensitive {
         eprintln!("  DIFFERENT FAULT SEED PRODUCED AN IDENTICAL GRID");

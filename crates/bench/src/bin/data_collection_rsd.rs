@@ -6,6 +6,7 @@
 
 use ent_bench::e_benchmarks;
 use ent_energy::PlatformKind;
+use ent_runtime::Settings;
 use ent_workloads::run_e2;
 
 fn main() {
@@ -13,6 +14,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(10);
+    let settings = Settings::from_env();
     println!(
         "Data collection: relative standard deviation over {repeats} runs (first discarded)\n"
     );
@@ -31,7 +33,7 @@ fn main() {
         for spec in e_benchmarks(system) {
             for boot in 0..3 {
                 let samples: Vec<f64> = (1..=repeats as u64)
-                    .map(|seed| run_e2(&spec, system, boot, 2, seed * 977 + 13).energy_j)
+                    .map(|seed| run_e2(&spec, system, boot, 2, seed * 977 + 13, settings).energy_j)
                     .collect();
                 let mean = samples.iter().sum::<f64>() / samples.len() as f64;
                 let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()

@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use ent_bench::{fig8, fig9, parse_grid_args};
 use ent_energy::FaultPlan;
-use ent_workloads::{resolve_jobs, sched_totals};
+use ent_runtime::Settings;
+use ent_workloads::sched_totals;
 
 /// FNV-1a accumulator over raw bytes.
 struct Fnv(u64);
@@ -107,12 +108,12 @@ struct Point {
 }
 
 /// Scheduler-counter deltas around one timed pass.
-fn run_point(repeats: usize, jobs: usize, fault_seed: u64) -> Point {
+fn run_point(repeats: usize, jobs: usize, fault_seed: u64, settings: Settings) -> Point {
     let before = sched_totals();
     let start = Instant::now();
-    let rows = fig9::rows(repeats, jobs);
+    let rows = fig9::rows(repeats, jobs, settings);
     let elapsed_s = start.elapsed().as_secs_f64();
-    let chaos = fig8::chaos_rows(jobs, &FaultPlan::chaos(), fault_seed);
+    let chaos = fig8::chaos_rows(jobs, &FaultPlan::chaos(), fault_seed, settings);
     let after = sched_totals();
     Point {
         jobs,
@@ -133,11 +134,10 @@ fn main() {
     // this benchmark exists to exercise the pool: sweep worker counts.
     let jobs_given = std::env::args().any(|a| a == "--jobs" || a.starts_with("--jobs="));
     let sweep: Vec<usize> = if jobs_given {
-        let n = resolve_jobs(args.jobs);
-        if n == 1 {
+        if args.jobs == 1 {
             vec![1]
         } else {
-            vec![1, n]
+            vec![1, args.jobs]
         }
     } else {
         vec![1, 2, 4, 8]
@@ -151,12 +151,12 @@ fn main() {
 
     // Pre-warm the compile cache so every timed pass measures pure
     // interpretation, as a long harness session would see.
-    let warm = fig9::rows(1, *sweep.last().unwrap());
+    let warm = fig9::rows(1, *sweep.last().unwrap(), args.settings);
     let cells = warm.len();
 
     let points: Vec<Point> = sweep
         .iter()
-        .map(|&jobs| run_point(repeats, jobs, fault_seed))
+        .map(|&jobs| run_point(repeats, jobs, fault_seed, args.settings))
         .collect();
     let base = &points[0];
     let deterministic = points

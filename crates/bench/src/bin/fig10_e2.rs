@@ -8,7 +8,7 @@ fn main() {
     let args = parse_grid_args(5);
     let repeats = args.value as usize;
     println!("Figure 10: battery-casing (E2) runs ({repeats} runs averaged)\n");
-    let data = fig10::rows(repeats, args.jobs);
+    let data = fig10::rows(repeats, args.jobs, args.settings);
     let metric_rows: Vec<metrics::Row> = data
         .iter()
         .map(|r| {

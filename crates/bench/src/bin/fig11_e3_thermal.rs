@@ -9,7 +9,7 @@ fn main() {
     println!("Figure 11: System A temperature-casing (E3) runs (seed {seed})");
     println!("Thresholds: hot at 60 °C, overheating at 65 °C; sleep mcase 0/250/1000 ms.\n");
     let mut metric_rows = Vec::new();
-    for series in fig11::series(seed, args.jobs) {
+    for series in fig11::series(seed, args.jobs, args.settings) {
         let summarize = |trace: &[(f64, f64)]| -> (f64, f64, Vec<f64>) {
             let temps: Vec<f64> = trace.iter().map(|(_, c)| *c).collect();
             let peak = temps.iter().copied().fold(f64::MIN, f64::max);

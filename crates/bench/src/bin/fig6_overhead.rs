@@ -7,7 +7,7 @@ fn main() {
     let args = parse_grid_args(5);
     let repeats = args.value as usize;
     println!("Figure 6: ENT benchmark descriptions and statistics ({repeats} runs averaged)\n");
-    let data = fig6::rows(repeats, args.jobs);
+    let data = fig6::rows(repeats, args.jobs, args.settings);
     let metric_rows: Vec<metrics::Row> = data
         .iter()
         .map(|r| metrics::Row::new(r.name).with("overhead_pct", r.overhead_pct))

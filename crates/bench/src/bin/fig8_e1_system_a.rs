@@ -9,17 +9,17 @@
 //! invocation is untouched by the flag machinery — its output and
 //! `results/fig8_e1_system_a.json` stay bit-identical.
 
-use ent_bench::{fig8, metrics, mode_name, parse_grid_args, render_table};
+use ent_bench::{fig8, metrics, mode_name, parse_grid_args, render_table, GridArgs};
 
 fn main() {
     let args = parse_grid_args(5);
     if let Some(plan) = &args.faults {
-        run_chaos(plan, args.fault_seed, args.jobs);
+        run_chaos(plan, &args);
         return;
     }
     let repeats = args.value as usize;
     println!("Figure 8: System A battery-exception (E1) runs ({repeats} runs averaged)\n");
-    let rows = fig8::rows(repeats, args.jobs);
+    let rows = fig8::rows(repeats, args.jobs, args.settings);
     let metric_rows = fig8::metric_rows(&rows);
     let mut current = "";
     let mut table: Vec<Vec<String>> = Vec::new();
@@ -50,9 +50,10 @@ fn main() {
     }
 }
 
-fn run_chaos(plan: &ent_energy::FaultPlan, fault_seed: u64, jobs: usize) {
+fn run_chaos(plan: &ent_energy::FaultPlan, args: &GridArgs) {
+    let fault_seed = args.fault_seed;
     println!("Figure 8 (fault-injected): System A E1 grid, fault seed {fault_seed}\n");
-    let rows = fig8::chaos_rows(jobs, plan, fault_seed);
+    let rows = fig8::chaos_rows(args.jobs, plan, fault_seed, args.settings);
     let metric_rows = fig8::chaos_metric_rows(&rows);
     let table: Vec<Vec<String>> = rows
         .iter()

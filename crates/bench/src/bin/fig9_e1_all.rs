@@ -9,7 +9,7 @@ fn main() {
     let repeats = args.value as usize;
     println!("Figure 9: battery-exception (E1) runs on Systems A/B/C ({repeats} runs averaged)");
     println!("Normalized against the silent full_throttle-boot run of the same workload.\n");
-    let data = fig9::rows(repeats, args.jobs);
+    let data = fig9::rows(repeats, args.jobs, args.settings);
     let metric_rows = fig9::metric_rows(&data);
     let rows: Vec<Vec<String>> = data
         .into_iter()

@@ -14,22 +14,19 @@
 //!
 //! Usage:
 //!   cargo run -p ent-bench --release --bin migration_lattice \
-//!       [repeats] [--engine tree|bytecode]
+//!       [repeats] [--engine tree|bytecode|threaded] [--tier-up N|0|off]
 //!
-//! Defaults: 3 repeats averaged. The strategy grid is swept explicitly
-//! (`--enforce` only changes the process default, which this binary
-//! overrides per run). Writes `BENCH_lattice.json` at the workspace
-//! root.
+//! Defaults: 3 repeats averaged. The strategy grid is swept explicitly,
+//! so `--enforce` has no effect here. Writes `BENCH_lattice.json` at the
+//! workspace root.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ent_bench::{parse_grid_args, render_table};
 use ent_energy::PlatformKind;
-use ent_runtime::{run_lowered, Enforcement, RuntimeConfig};
-use ent_workloads::{
-    benchmark, default_engine, lattice_program, lowered_cached, platform_for, LATTICE_CHUNKS,
-};
+use ent_runtime::{run_lowered, Enforcement, RuntimeConfig, Settings};
+use ent_workloads::{benchmark, lattice_program, lowered_cached, platform_for, LATTICE_CHUNKS};
 
 /// Batch benchmarks swept (each must have `Shape::Batch`).
 const BENCHMARKS: [&str; 3] = ["crypto", "sunflow", "batik"];
@@ -72,6 +69,7 @@ fn repo_root() -> PathBuf {
 fn run_cell(
     lowered: &std::sync::Arc<ent_runtime::LoweredProgram>,
     platform: &ent_energy::Platform,
+    settings: Settings,
     strategy: Enforcement,
     repeats: u64,
 ) -> Cell {
@@ -80,10 +78,9 @@ fn run_cell(
     let mut last = None;
     for r in 0..repeats {
         let config = RuntimeConfig {
-            engine: default_engine(),
             enforcement: strategy,
             seed: SEED + r,
-            ..RuntimeConfig::default()
+            ..settings.apply(RuntimeConfig::default())
         };
         let result = run_lowered(lowered, platform.clone(), config);
         if let Err(e) = &result.value {
@@ -106,7 +103,8 @@ fn run_cell(
     }
 }
 
-fn sweep(name: &'static str, repeats: u64) -> ProgramSweep {
+fn sweep(name: &'static str, repeats: u64, settings: Settings) -> ProgramSweep {
+    use Enforcement::{Guarded, Transient};
     let spec = benchmark(name).expect("lattice benchmark exists");
     let platform = platform_for(&spec, PlatformKind::SystemA);
     let n_points = 1u32 << COMPONENTS;
@@ -116,8 +114,8 @@ fn sweep(name: &'static str, repeats: u64) -> ProgramSweep {
             let lowered = lowered_cached(name, &src);
             Point {
                 mask,
-                guarded: run_cell(&lowered, &platform, Enforcement::Guarded, repeats),
-                transient: run_cell(&lowered, &platform, Enforcement::Transient, repeats),
+                guarded: run_cell(&lowered, &platform, settings, Guarded, repeats),
+                transient: run_cell(&lowered, &platform, settings, Transient, repeats),
             }
         })
         .collect();
@@ -158,7 +156,10 @@ fn main() {
         1u32 << COMPONENTS
     );
 
-    let sweeps: Vec<ProgramSweep> = BENCHMARKS.iter().map(|&b| sweep(b, repeats)).collect();
+    let sweeps: Vec<ProgramSweep> = BENCHMARKS
+        .iter()
+        .map(|&b| sweep(b, repeats, args.settings))
+        .collect();
 
     for s in &sweeps {
         println!(
@@ -205,7 +206,7 @@ fn main() {
     let _ = writeln!(json, "  \"chunks_per_stage\": {LATTICE_CHUNKS},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"engine\": \"{}\",", default_engine().name());
+    let _ = writeln!(json, "  \"engine\": \"{}\",", args.settings.engine.name());
     json.push_str("  \"programs\": [\n");
     for (bi, s) in sweeps.iter().enumerate() {
         let _ = writeln!(json, "    {{\"name\": \"{}\", \"points\": [", s.name);

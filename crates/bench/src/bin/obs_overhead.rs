@@ -25,6 +25,7 @@ use std::time::Instant;
 use ent_energy::PlatformKind;
 use ent_runtime::{
     default_stack_size, run_lowered, with_interp_stack, ProfileMode, RunResult, RuntimeConfig,
+    Settings,
 };
 use ent_workloads::{all_benchmarks, prepare_e2};
 
@@ -128,7 +129,8 @@ fn measure() -> Vec<Sample> {
 fn measure_on_worker() -> Vec<Sample> {
     let mut samples = Vec::new();
     for spec in all_benchmarks() {
-        let prepared = prepare_e2(&spec, PlatformKind::SystemA, 1);
+        // Runs below carry their own configs; the settings never apply.
+        let prepared = prepare_e2(&spec, PlatformKind::SystemA, 1, Settings::default());
         let (lowered, platform) = (&prepared.lowered, &prepared.platform);
 
         let plain = run_lowered(lowered, platform.clone(), config(false, ProfileMode::Off));

@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use ent_energy::{FaultPlan, PlatformKind};
 use ent_runtime::{
-    default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig,
+    default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig, Settings,
 };
 use ent_workloads::{all_benchmarks, prepare_e2, run_batch};
 
@@ -130,7 +130,8 @@ fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
     let specs = all_benchmarks();
     let reference = engines[0];
     let verified = run_batch(jobs, &specs, |spec| {
-        let prog = prepare_e2(spec, PlatformKind::SystemA, 1);
+        // Runs below carry their own configs; the settings never apply.
+        let prog = prepare_e2(spec, PlatformKind::SystemA, 1, Settings::default());
         let rl = |c: RuntimeConfig| run_lowered(&prog.lowered, prog.platform.clone(), c);
         let warm = rl(config(reference));
         let fp = fingerprint(&warm);
@@ -328,14 +329,14 @@ fn main() {
             .windows(2)
             .any(|w| w[0] == "--phase" && w[1] == "baseline");
     let grid = ent_bench::parse_grid_args_with(0, &["--phase"]);
+    let engine_given = std::env::args().any(|a| a == "--engine" || a.starts_with("--engine="));
     let engines: Vec<Engine> = if capture_baseline {
         // The stored baseline is the tree walker's numbers by definition.
         vec![Engine::Tree]
+    } else if engine_given {
+        vec![grid.settings.engine]
     } else {
-        match grid.engine {
-            Some(e) => vec![e],
-            None => ENGINES.to_vec(),
-        }
+        ENGINES.to_vec()
     };
 
     eprintln!(

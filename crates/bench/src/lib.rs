@@ -19,6 +19,7 @@
 //!   Java runs climb.
 
 use ent_energy::{FaultPlan, PlatformKind};
+use ent_runtime::{Enforcement, Engine, Settings, TierUp};
 use ent_workloads::{
     all_benchmarks, benchmark, e3_benchmarks, prepare_e1, prepare_e2, prepare_e3, run_batch,
     run_e1_chaos_prepared, run_e1_prepared, run_e2_prepared, run_e3_prepared,
@@ -64,41 +65,29 @@ pub fn average_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
 pub struct GridArgs {
     /// The positional value (repeats or seed).
     pub value: u64,
-    /// Batch worker count; `0` means one per available CPU.
+    /// Batch worker count, at least 1: `--jobs`, else `ENT_JOBS`, else 1.
     pub jobs: usize,
     /// Fault plan from `--faults` ("off", "chaos", or a key=value spec);
     /// `None` when the flag is absent or the plan is a no-op.
     pub faults: Option<FaultPlan>,
     /// Seed for the fault injector's deterministic schedule.
     pub fault_seed: u64,
-    /// Engine from `--engine`; `None` when the flag is absent (the
-    /// process default — `ENT_ENGINE`, else bytecode — stays in force).
-    pub engine: Option<ent_runtime::Engine>,
-    /// Tier-up threshold from `--tier-up`; `None` when the flag is
-    /// absent (the process default — `ENT_TIER_UP`, else 8 — stays in
-    /// force). Only the threaded engine reads it.
-    pub tier_up: Option<ent_runtime::TierUp>,
-    /// Enforcement strategy from `--enforce`; `None` when the flag is
-    /// absent (the process default — `ENT_ENFORCE`, else guarded — stays
-    /// in force).
-    pub enforce: Option<ent_runtime::Enforcement>,
+    /// Engine, tier-up threshold and enforcement strategy, each resolved
+    /// from its flag, else its `ENT_*` variable, else the runtime default.
+    pub settings: Settings,
 }
 
 /// Parses `std::env::args()` as
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
 /// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient]`. The jobs default comes from the
-/// `ENT_JOBS` environment variable (else 1); figure output is
-/// bit-identical at every jobs count and under every engine, so those
-/// flags only change speed. `--enforce transient` changes which checks
-/// run, so it *does* change results — that's the point of the
-/// migration-lattice sweep. An unknown `--flag`, a malformed `--faults`,
-/// `--engine`, `--tier-up`, or `--enforce` value, and a zero or
-/// non-numeric `--jobs` or `--fault-seed` all exit with status 1 — never
-/// a silent default. `--engine`, `--tier-up`, and `--enforce` are
-/// installed process-wide via [`ent_workloads::set_default_engine`] /
-/// [`ent_workloads::set_default_tier_up`] /
-/// [`ent_workloads::set_default_enforcement`].
+/// [--enforce guarded|transient]` against the process environment.
+/// Figure output is bit-identical at every jobs count and under every
+/// engine and tier-up threshold, so those flags only change speed.
+/// `--enforce transient` changes which checks run, so it *does* change
+/// results — that's the point of the migration-lattice sweep. An unknown
+/// `--flag`, a malformed `--faults`, `--engine`, `--tier-up`, or
+/// `--enforce` value, and a zero or non-numeric `--jobs` or
+/// `--fault-seed` all exit with status 1 — never a silent default.
 pub fn parse_grid_args(default_value: u64) -> GridArgs {
     parse_grid_args_with(default_value, &[])
 }
@@ -107,45 +96,31 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
 /// own (`own_flags`, each given as `--flag V` or `--flag=V`): the grid
 /// parser skips them and their values instead of rejecting them.
 pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs {
-    let parsed = grid_args_from(std::env::args().skip(1), default_value, own_flags)
-        .unwrap_or_else(|message| exit_invalid(&message));
-    if let Some(engine) = parsed.engine {
-        ent_workloads::set_default_engine(engine);
-    }
-    if let Some(tier_up) = parsed.tier_up {
-        ent_workloads::set_default_tier_up(tier_up);
-    }
-    if let Some(enforcement) = parsed.enforce {
-        ent_workloads::set_default_enforcement(enforcement);
-    }
-    parsed
+    grid_args_from(std::env::args().skip(1), default_value, own_flags, |name| {
+        std::env::var(name).ok()
+    })
+    .unwrap_or_else(|message| exit_invalid(&message))
 }
 
 /// The pure half of [`parse_grid_args_with`]: parses `args` (without the
-/// program name) and installs nothing. Returns the usage error for the
-/// first malformed value or unknown `--flag`.
+/// program name), resolving absent flags through `env`. Returns the usage
+/// error for the first malformed value or unknown `--flag`.
 fn grid_args_from(
     args: impl IntoIterator<Item = String>,
     default_value: u64,
     own_flags: &[&str],
+    env: impl Fn(&str) -> Option<String>,
 ) -> Result<GridArgs, String> {
     let invalid = |flag: &str, value: &str, expected: &str| {
         format!("invalid {flag} value {value:?} (expected {expected})")
     };
-    let mut parsed = GridArgs {
-        value: default_value,
-        jobs: ent_workloads::default_jobs(),
-        faults: None,
-        fault_seed: 0,
-        engine: None,
-        tier_up: None,
-        enforce: None,
-    };
+    let (mut value, mut jobs, mut faults, mut fault_seed) = (default_value, None, None, 0);
+    let (mut engine, mut tier_up, mut enforce) = (None, None, None);
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if !a.starts_with("--") {
             if let Ok(v) = a.parse() {
-                parsed.value = v;
+                value = v;
             }
             continue;
         }
@@ -156,36 +131,34 @@ fn grid_args_from(
         let v = inline.unwrap_or_else(|| args.next().unwrap_or_default());
         match flag {
             "--jobs" => {
-                parsed.jobs = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
+                jobs = match v.parse::<usize>() {
+                    Ok(n) if n >= 1 => Some(n),
                     _ => return Err(invalid(flag, &v, "a positive integer")),
                 };
             }
             "--faults" => {
                 let plan =
                     FaultPlan::parse(&v).map_err(|e| format!("invalid --faults spec: {e}"))?;
-                parsed.faults = (!plan.is_noop()).then_some(plan);
+                faults = (!plan.is_noop()).then_some(plan);
             }
             "--fault-seed" => {
-                parsed.fault_seed = v
+                fault_seed = v
                     .parse()
                     .map_err(|_| invalid(flag, &v, "a non-negative integer"))?;
             }
             "--engine" => {
-                parsed.engine = Some(
-                    ent_runtime::Engine::parse(&v)
+                engine = Some(
+                    Engine::parse(&v)
                         .ok_or_else(|| invalid(flag, &v, "tree, bytecode, or threaded"))?,
                 );
             }
             "--tier-up" => {
-                parsed.tier_up = Some(
-                    ent_runtime::TierUp::parse(&v)
-                        .ok_or_else(|| invalid(flag, &v, "0, off, or a count"))?,
-                );
+                tier_up =
+                    Some(TierUp::parse(&v).ok_or_else(|| invalid(flag, &v, "0, off, or a count"))?);
             }
             "--enforce" => {
-                parsed.enforce = Some(
-                    ent_runtime::Enforcement::parse(&v)
+                enforce = Some(
+                    Enforcement::parse(&v)
                         .ok_or_else(|| invalid(flag, &v, "guarded or transient"))?,
                 );
             }
@@ -198,7 +171,18 @@ fn grid_args_from(
             }
         }
     }
-    Ok(parsed)
+    Ok(GridArgs {
+        value,
+        // `ENT_JOBS` when positive, else 1: sequential, the reproducible
+        // default for published artifacts.
+        jobs: jobs.unwrap_or_else(|| {
+            let var = env("ENT_JOBS").and_then(|v| v.trim().parse().ok());
+            var.filter(|&n| n > 0).unwrap_or(1)
+        }),
+        faults,
+        fault_seed,
+        settings: Settings::resolve(engine, tier_up, enforce, env),
+    })
 }
 
 /// The grid bins' usage-error exit: print what was wrong and stop with
@@ -230,13 +214,13 @@ pub mod fig6 {
         pub overhead_pct: f64,
     }
 
-    /// Runs the overhead experiment for every benchmark, one batch job per
-    /// table row.
-    pub fn rows(repeats: usize, jobs: usize) -> Vec<Row> {
+    /// Runs the overhead experiment for every benchmark under `settings`,
+    /// one batch job per table row.
+    pub fn rows(repeats: usize, jobs: usize, settings: Settings) -> Vec<Row> {
         let work = all_benchmarks();
         run_batch(jobs, &work, |spec| {
             let system = spec.primary_platform();
-            let prog = prepare_e2(spec, system, 1);
+            let prog = prepare_e2(spec, system, 1, settings);
             // Mix the benchmark name into the seed so each row draws an
             // independent noise sample, as distinct physical runs would.
             let name_salt: u64 = spec
@@ -331,9 +315,9 @@ pub mod fig8 {
         pub dfall_failures: u64,
     }
 
-    /// Runs the grid for the six System A benchmarks, one batch job per
-    /// benchmark × workload × boot × runtime cell.
-    pub fn rows(repeats: usize, jobs: usize) -> Vec<Row> {
+    /// Runs the grid for the six System A benchmarks under `settings`, one
+    /// batch job per benchmark × workload × boot × runtime cell.
+    pub fn rows(repeats: usize, jobs: usize, settings: Settings) -> Vec<Row> {
         let mut work = Vec::new();
         for spec in e_benchmarks(PlatformKind::SystemA) {
             for workload in 0..3 {
@@ -345,7 +329,7 @@ pub mod fig8 {
             }
         }
         run_batch(jobs, &work, |(spec, workload, boot, silent)| {
-            let prog = prepare_e1(spec, PlatformKind::SystemA, *workload);
+            let prog = prepare_e1(spec, PlatformKind::SystemA, *workload, settings);
             let mut last = None;
             let energy_j = average_runs(repeats, |seed| {
                 let o = run_e1_prepared(&prog, *boot, *silent, seed * 131 + 3);
@@ -421,7 +405,12 @@ pub mod fig8 {
     /// whole sweep is a pure function of `(plan, fault_seed)` — two calls
     /// with the same arguments produce identical rows, which the chaos
     /// bench and CI byte-diff rely on.
-    pub fn chaos_rows(jobs: usize, plan: &FaultPlan, fault_seed: u64) -> Vec<ChaosRow> {
+    pub fn chaos_rows(
+        jobs: usize,
+        plan: &FaultPlan,
+        fault_seed: u64,
+        settings: Settings,
+    ) -> Vec<ChaosRow> {
         let mut work = Vec::new();
         for spec in e_benchmarks(PlatformKind::SystemA) {
             for workload in 0..3 {
@@ -434,7 +423,7 @@ pub mod fig8 {
             }
         }
         run_batch(jobs, &work, |(spec, workload, boot, silent, cell)| {
-            let prog = prepare_e1(spec, PlatformKind::SystemA, *workload);
+            let prog = prepare_e1(spec, PlatformKind::SystemA, *workload, settings);
             let o = run_e1_chaos_prepared(
                 &prog,
                 *boot,
@@ -519,9 +508,9 @@ pub mod fig9 {
         pub dfall_failures: u64,
     }
 
-    /// Runs the violating combinations for every system, one batch job per
-    /// system × benchmark × combination cell.
-    pub fn rows(repeats: usize, jobs: usize) -> Vec<Row> {
+    /// Runs the violating combinations for every system under `settings`,
+    /// one batch job per system × benchmark × combination cell.
+    pub fn rows(repeats: usize, jobs: usize, settings: Settings) -> Vec<Row> {
         let mut work = Vec::new();
         for system in [
             PlatformKind::SystemA,
@@ -538,7 +527,7 @@ pub mod fig9 {
             // ENT, silent, and reference runs all share the one program
             // for (benchmark, system, workload) — boot and silent are
             // runtime configuration, not program shape.
-            let prog = prepare_e1(spec, system, workload);
+            let prog = prepare_e1(spec, system, workload, settings);
             let ent_j = average_runs(repeats, |seed| {
                 run_e1_prepared(&prog, boot, false, seed * 17 + 1).energy_j
             });
@@ -615,10 +604,11 @@ pub mod fig10 {
         pub savings_pct: f64,
     }
 
-    /// Runs the casing experiment for every system and benchmark, one
-    /// batch job per system × benchmark (each job owns its full-throttle
-    /// reference and the three boot bars normalized against it).
-    pub fn rows(repeats: usize, jobs: usize) -> Vec<Row> {
+    /// Runs the casing experiment for every system and benchmark under
+    /// `settings`, one batch job per system × benchmark (each job owns its
+    /// full-throttle reference and the three boot bars normalized against
+    /// it).
+    pub fn rows(repeats: usize, jobs: usize, settings: Settings) -> Vec<Row> {
         let mut work = Vec::new();
         for system in [
             PlatformKind::SystemA,
@@ -630,7 +620,7 @@ pub mod fig10 {
             }
         }
         run_batch(jobs, &work, |&(system, ref spec)| {
-            let prog = prepare_e2(spec, system, 2);
+            let prog = prepare_e2(spec, system, 2, settings);
             let ft = average_runs(repeats, |seed| {
                 run_e2_prepared(&prog, 2, seed * 23 + 5).energy_j
             });
@@ -680,9 +670,10 @@ pub mod fig11 {
         trace.into_iter().map(|(t, c)| (t / end, c)).collect()
     }
 
-    /// Runs the five E3 benchmarks, one batch job per benchmark × variant
-    /// (ENT and Java traces of one benchmark run concurrently).
-    pub fn series(seed: u64, jobs: usize) -> Vec<Series> {
+    /// Runs the five E3 benchmarks under `settings`, one batch job per
+    /// benchmark × variant (ENT and Java traces of one benchmark run
+    /// concurrently).
+    pub fn series(seed: u64, jobs: usize, settings: Settings) -> Vec<Series> {
         let work: Vec<(&'static str, usize, f64, bool)> = e3_benchmarks()
             .into_iter()
             .flat_map(|(name, tasks, task_seconds)| {
@@ -692,7 +683,7 @@ pub mod fig11 {
         let traces = run_batch(jobs, &work, |&(name, tasks, task_seconds, ent)| {
             let spec = benchmark(name).expect("E3 benchmark exists");
             normalize(run_e3_prepared(
-                &prepare_e3(&spec, tasks, task_seconds, ent),
+                &prepare_e3(&spec, tasks, task_seconds, ent, settings),
                 seed,
             ))
         });
@@ -716,6 +707,8 @@ pub mod metrics {
     use std::fmt::Write as _;
     use std::io;
     use std::path::{Path, PathBuf};
+
+    use ent_runtime::{json_escape, json_f64};
 
     /// One benchmark/configuration row: a label plus named numeric values
     /// in presentation order.
@@ -744,41 +737,15 @@ pub mod metrics {
         }
     }
 
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    fn num(x: f64) -> String {
-        // `Display` round-trips f64 and never uses an exponent JSON can't
-        // parse; non-finite values have no JSON literal.
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".to_string()
-        }
-    }
-
     /// Renders rows as one `ent-bench-metrics/1` JSON document.
     pub fn to_json(suite: &str, rows: &[Row]) -> String {
         let mut out = String::from("{\n  \"schema\": \"ent-bench-metrics/1\",\n");
-        let _ = writeln!(out, "  \"suite\": \"{}\",", escape(suite));
+        let _ = writeln!(out, "  \"suite\": \"{}\",", json_escape(suite));
         out.push_str("  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
-            let _ = write!(out, "    {{\"name\": \"{}\"", escape(&r.name));
+            let _ = write!(out, "    {{\"name\": \"{}\"", json_escape(&r.name));
             for (k, v) in &r.values {
-                let _ = write!(out, ", \"{}\": {}", escape(k), num(*v));
+                let _ = write!(out, ", \"{}\": {}", json_escape(k), json_f64(*v));
             }
             out.push('}');
             out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
@@ -916,7 +883,8 @@ mod tests {
 
     #[test]
     fn fig8_grid_shape() {
-        let rows = fig8::rows(1, 1);
+        let settings = Settings::from_env();
+        let rows = fig8::rows(1, 1, settings);
         // 6 benchmarks × 3 workloads × 3 boots × {ent, silent}.
         assert_eq!(rows.len(), 6 * 3 * 3 * 2);
         // Exceptions exactly where workload > boot, and the split
@@ -926,10 +894,7 @@ mod tests {
         // object, so they may additionally record dfall failures. Under
         // `ENT_ENFORCE=transient` the same violations raise, but blame
         // lands in the transient counters, so the guarded split is empty.
-        let transient = matches!(
-            ent_workloads::default_enforcement(),
-            ent_runtime::Enforcement::Transient
-        );
+        let transient = settings.enforcement == Enforcement::Transient;
         for r in &rows {
             assert_eq!(r.exception, r.workload > r.boot, "{r:?}");
             if transient {
@@ -945,7 +910,8 @@ mod tests {
 
     #[test]
     fn fig8_metric_rows_render_the_failure_split() {
-        let rows = fig8::rows(1, 2);
+        let settings = Settings::from_env();
+        let rows = fig8::rows(1, 2, settings);
         let metric_rows = fig8::metric_rows(&rows);
         assert_eq!(metric_rows.len(), rows.len());
         let json = metrics::to_json("fig8-test", &metric_rows);
@@ -965,10 +931,7 @@ mod tests {
             assert_eq!(get("exception"), if r.exception { 1.0 } else { 0.0 });
             assert_eq!(get("snapshot_failures"), r.snapshot_failures as f64);
             assert_eq!(get("dfall_failures"), r.dfall_failures as f64);
-            if matches!(
-                ent_workloads::default_enforcement(),
-                ent_runtime::Enforcement::Guarded
-            ) {
+            if settings.enforcement == Enforcement::Guarded {
                 assert_eq!(get("exception") > 0.0, get("snapshot_failures") > 0.0);
             }
             if !r.silent {
@@ -979,7 +942,8 @@ mod tests {
 
     #[test]
     fn fig9_metric_rows_render_the_failure_split() {
-        let rows = fig9::rows(1, 2);
+        let settings = Settings::from_env();
+        let rows = fig9::rows(1, 2, settings);
         let metric_rows = fig9::metric_rows(&rows);
         assert_eq!(metric_rows.len(), rows.len());
         let json = metrics::to_json("fig9-test", &metric_rows);
@@ -997,10 +961,7 @@ mod tests {
             // Every fig9 cell is a violating combination, so the silent
             // run it reports must have seen snapshot failures (guarded
             // blame; under a transient default the counter stays zero).
-            if matches!(
-                ent_workloads::default_enforcement(),
-                ent_runtime::Enforcement::Guarded
-            ) {
+            if settings.enforcement == Enforcement::Guarded {
                 assert!(get("snapshot_failures") > 0.0, "{}", m.name);
             }
             assert_eq!(get("savings_pct"), r.savings_pct);
@@ -1014,8 +975,8 @@ mod tests {
             window_s: 0.5,
             ..ent_energy::FaultPlan::default()
         };
-        let a = fig8::chaos_rows(2, &plan, 5);
-        let b = fig8::chaos_rows(1, &plan, 5);
+        let a = fig8::chaos_rows(2, &plan, 5, Settings::from_env());
+        let b = fig8::chaos_rows(1, &plan, 5, Settings::from_env());
         assert_eq!(a.len(), 6 * 3 * 3 * 2);
         let total_faults: u64 = a.iter().map(|r| r.sensor_faults).sum();
         assert!(total_faults > 0, "the plan should fault some reads");
@@ -1036,8 +997,8 @@ mod tests {
     fn parallel_rows_are_bit_identical_to_sequential() {
         // The engine's determinism contract, end to end: the same grid at
         // --jobs 1 and --jobs 4 must agree down to the f64 bit pattern.
-        let seq = fig9::rows(1, 1);
-        let par = fig9::rows(1, 4);
+        let seq = fig9::rows(1, 1, Settings::from_env());
+        let par = fig9::rows(1, 4, Settings::from_env());
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.benchmark, p.benchmark);
@@ -1063,7 +1024,7 @@ mod tests {
 
     #[test]
     fn fig9_savings_are_positive_everywhere() {
-        for r in fig9::rows(2, 1) {
+        for r in fig9::rows(2, 1, Settings::from_env()) {
             assert!(
                 r.savings_pct > 0.0,
                 "{} {:?} boot {} workload {}: {:.2}%",
@@ -1082,7 +1043,7 @@ mod tests {
         // The paper's System A savings range roughly 14–58 %; with the
         // QoS-degradation handler the reproduction should land in a
         // comparable (not pathological) band.
-        let rows = fig9::rows(2, 1);
+        let rows = fig9::rows(2, 1, Settings::from_env());
         for r in rows.iter().filter(|r| r.system == PlatformKind::SystemA) {
             assert!(
                 r.savings_pct > 10.0 && r.savings_pct < 80.0,
@@ -1097,7 +1058,7 @@ mod tests {
 
     #[test]
     fn fig9_time_fixed_systems_save_less_than_batch_system_a() {
-        let rows = fig9::rows(2, 1);
+        let rows = fig9::rows(2, 1, Settings::from_env());
         let avg = |system: PlatformKind, time_fixed: bool| {
             let vals: Vec<f64> = rows
                 .iter()
@@ -1118,7 +1079,7 @@ mod tests {
 
     #[test]
     fn fig10_is_battery_proportional() {
-        let rows = fig10::rows(2, 2);
+        let rows = fig10::rows(2, 2, Settings::from_env());
         for system in [
             PlatformKind::SystemA,
             PlatformKind::SystemB,
@@ -1145,7 +1106,7 @@ mod tests {
 
     #[test]
     fn fig11_ent_hovers_java_climbs() {
-        for series in fig11::series(3, 2) {
+        for series in fig11::series(3, 2, Settings::from_env()) {
             let peak = |t: &[(f64, f64)]| t.iter().map(|(_, c)| *c).fold(0.0, f64::max);
             assert!(
                 peak(&series.java) > peak(&series.ent),
@@ -1191,8 +1152,18 @@ mod tests {
         assert!(s.starts_with('▁') && s.ends_with('█'));
     }
 
+    /// Parses `args` against a fake environment of `NAME=value` words.
+    fn grid_in(args: &[&str], own_flags: &[&str], env: &str) -> Result<GridArgs, String> {
+        let env = |name: &str| {
+            env.split_whitespace()
+                .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('='))
+                .map(str::to_string)
+        };
+        grid_args_from(args.iter().map(|a| a.to_string()), 5, own_flags, env)
+    }
+
     fn grid(args: &[&str], own_flags: &[&str]) -> Result<GridArgs, String> {
-        grid_args_from(args.iter().map(|a| a.to_string()), 5, own_flags)
+        grid_in(args, own_flags, "")
     }
 
     #[test]
@@ -1203,11 +1174,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!((g.value, g.jobs, g.fault_seed), (3, 2, 9));
-        assert_eq!(g.engine, Some(ent_runtime::Engine::Tree));
+        assert_eq!(g.settings.engine, Engine::Tree);
         let g = grid(&["--faults", "chaos", "--tier-up=off"], &[]).unwrap();
         assert_eq!(g.value, 5);
         assert!(g.faults.is_some());
-        assert_eq!(g.tier_up, Some(ent_runtime::TierUp::Never));
+        assert_eq!(g.settings.tier_up, TierUp::Never);
 
         // A typo or a removed flag is a usage error, not a silent repeat
         // count taken from its value.
@@ -1228,6 +1199,45 @@ mod tests {
         let g = grid(&["--phase=baseline"], &["--phase"]).unwrap();
         assert_eq!(g.value, 5);
         assert!(grid(&["--phase", "baseline"], &["--fuzz-iters"]).is_err());
+    }
+
+    #[test]
+    fn grid_settings_resolve_flag_over_env_over_default() {
+        use Enforcement::{Guarded, Transient};
+        use Engine::{Bytecode, Threaded, Tree};
+        use TierUp::{Always, Never};
+        let s = |engine, tier_up, enforcement| Settings {
+            engine,
+            tier_up,
+            enforcement,
+        };
+        let env = "ENT_ENGINE=threaded ENT_TIER_UP=0 ENT_ENFORCE=transient ENT_JOBS=8";
+        let junk = "ENT_ENGINE=jit ENT_TIER_UP=soon ENT_ENFORCE=strict ENT_JOBS=many";
+        let flags = "--engine=tree --tier-up=off --enforce=guarded --jobs=3";
+        let defaults = (Settings::default(), 1);
+        for (args, env, want) in [
+            // Env only.
+            ("", env, (s(Threaded, Always, Transient), 8)),
+            // A flag beats the env, setting by setting.
+            (flags, env, (s(Tree, Never, Guarded), 3)),
+            (
+                "--engine bytecode",
+                env,
+                (s(Bytecode, Always, Transient), 8),
+            ),
+            // Neither: the defaults, which a malformed env value (or
+            // `ENT_JOBS=0`) falls back to.
+            ("", "", defaults),
+            ("", junk, defaults),
+            ("", "ENT_JOBS=0", defaults),
+        ] {
+            let args: Vec<&str> = args.split_whitespace().collect();
+            let g = grid_in(&args, &[], env).unwrap();
+            assert_eq!((g.settings, g.jobs), want, "{args:?} {env}");
+        }
+        // `--jobs 0` is a usage error whatever the env says.
+        let err = grid_in(&["--jobs", "0"], &[], env).unwrap_err();
+        assert!(err.contains("invalid --jobs"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use ent_core::compile;
 use ent_energy::{FaultPlan, Platform};
 use ent_runtime::{
     lower_program, render_event, run, run_lowered, Enforcement, Engine, ProfileMode, RuntimeConfig,
-    TierUp,
+    Settings, TierUp,
 };
 use ent_syntax::{parse_program, print_program};
 
@@ -96,16 +96,14 @@ pub struct Options {
     /// How long a last-known-good sensor reading may be served after a
     /// fault before decisions degrade (`None` = the runtime default).
     pub staleness_bound: Option<f64>,
-    /// Engine from `--engine` (`None` = the runtime default: bytecode,
-    /// overridable via the `ENT_ENGINE` environment variable).
+    /// Engine from `--engine` (`None` = `ENT_ENGINE`, else bytecode; see
+    /// [`Settings::resolve`]).
     pub engine: Option<Engine>,
-    /// Tier-up threshold from `--tier-up` (`None` = the runtime default:
-    /// 8 hot hits, overridable via the `ENT_TIER_UP` environment
-    /// variable). Only the threaded engine reads it.
+    /// Tier-up threshold from `--tier-up` (`None` = `ENT_TIER_UP`, else 8
+    /// hot hits). Only the threaded engine reads it.
     pub tier_up: Option<TierUp>,
-    /// Enforcement strategy from `--enforce` (`None` = the runtime
-    /// default: guarded, overridable via the `ENT_ENFORCE` environment
-    /// variable).
+    /// Enforcement strategy from `--enforce` (`None` = `ENT_ENFORCE`, else
+    /// guarded).
     pub enforce: Option<Enforcement>,
 }
 
@@ -166,11 +164,11 @@ options:
                        after a fault before decisions degrade; must be a
                        positive number (default: 5)
   --engine <e>         method-body execution engine: bytecode (the register
-                       VM, default), tree (the recursive evaluator), or
-                       threaded (closure-threaded tier over the VM, with
-                       profile-guided tier-up and deopt back to bytecode);
-                       all produce bit-identical results (ENT_ENGINE env
-                       default)
+                       VM), tree (the recursive evaluator), or threaded
+                       (closure-threaded tier over the VM, with profile-guided
+                       tier-up and deopt back to bytecode); all produce
+                       bit-identical results (default: the ENT_ENGINE env
+                       var, else bytecode)
   --tier-up <n>        hot-body threshold before the threaded engine compiles
                        a method body: 0 = compile immediately, off = never
                        tier up, else the call count (default: 8; ENT_TIER_UP
@@ -406,14 +404,8 @@ pub fn execute(options: &Options, src: &str) -> (i32, String) {
                     return (EXIT_COMPILE, out);
                 }
             };
-            let config = RuntimeConfig {
-                battery_level: options.battery,
-                seed: options.seed,
-                engine: options.engine.unwrap_or_default(),
-                tier_up: options.tier_up.unwrap_or_else(TierUp::from_env),
-                ..RuntimeConfig::default()
-            };
-            let result = run(&compiled, Platform::system_a(), config);
+            let (platform, config) = run_config(options);
+            let result = run(&compiled, platform, config);
             match &result.value {
                 Ok(_) => {
                     for line in &result.output {
@@ -524,34 +516,7 @@ pub struct RunOutcome {
 /// byte-identical to its one-shot equivalent by construction.
 pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) -> RunOutcome {
     let mut out = String::new();
-    let platform = match options.platform.as_str() {
-        "b" => Platform::system_b(),
-        "c" => Platform::system_c(),
-        _ => Platform::system_a(),
-    };
-    let mut config = RuntimeConfig {
-        silent: options.silent,
-        battery_level: options.battery,
-        seed: options.seed,
-        trace_interval_s: options.trace.then_some(1.0),
-        record_events: options.events || options.metrics_json.is_some(),
-        profile: options.profile_mode(),
-        faults: options.faults.clone(),
-        fault_seed: options.fault_seed,
-        engine: options.engine.unwrap_or_default(),
-        tier_up: options.tier_up.unwrap_or_else(TierUp::from_env),
-        enforcement: options.enforce.unwrap_or_else(Enforcement::from_env),
-        ..RuntimeConfig::default()
-    };
-    if let Some(limit) = options.events_limit {
-        config.events_capacity = limit;
-    }
-    if let Some(stack) = options.stack_size {
-        config.stack_size = stack;
-    }
-    if let Some(bound) = options.staleness_bound {
-        config.staleness_bound_s = bound;
-    }
+    let (platform, config) = run_config(options);
     let result = run_lowered(lowered, platform, config);
     for line in &result.output {
         let _ = writeln!(out, "{line}");
@@ -639,6 +604,42 @@ pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) ->
         sensor_faults: result.stats.sensor_faults,
         degraded_decisions: result.stats.degraded_decisions,
     }
+}
+
+/// The platform and run configuration `options` select: the one builder
+/// behind `run`, `eval` and served runs. Engine, tier-up and enforcement
+/// resolve through [`Settings::resolve`] — the flag, else its `ENT_*`
+/// environment variable, else the runtime default.
+fn run_config(options: &Options) -> (Platform, RuntimeConfig) {
+    let platform = match options.platform.as_str() {
+        "b" => Platform::system_b(),
+        "c" => Platform::system_c(),
+        _ => Platform::system_a(),
+    };
+    let settings = Settings::resolve(options.engine, options.tier_up, options.enforce, |name| {
+        std::env::var(name).ok()
+    });
+    let mut config = settings.apply(RuntimeConfig {
+        silent: options.silent,
+        battery_level: options.battery,
+        seed: options.seed,
+        trace_interval_s: options.trace.then_some(1.0),
+        record_events: options.events || options.metrics_json.is_some(),
+        profile: options.profile_mode(),
+        faults: options.faults.clone(),
+        fault_seed: options.fault_seed,
+        ..RuntimeConfig::default()
+    });
+    if let Some(limit) = options.events_limit {
+        config.events_capacity = limit;
+    }
+    if let Some(stack) = options.stack_size {
+        config.stack_size = stack;
+    }
+    if let Some(bound) = options.staleness_bound {
+        config.staleness_bound_s = bound;
+    }
+    (platform, config)
 }
 
 fn summarize_trace(temps: &[f64]) -> String {

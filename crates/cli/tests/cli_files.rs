@@ -116,3 +116,30 @@ fn platform_flag_selects_the_simulator() {
     let b = energy("b");
     assert_ne!(a, b);
 }
+
+#[test]
+fn ent_engine_env_reaches_ent_run_and_the_flag_beats_it() {
+    // `ENT_ENGINE=threaded ENT_TIER_UP=0` must put `ent run` on the
+    // threaded tier; an explicit `--engine bytecode` beats the env.
+    let threaded_entries = |extra: &[&str]| {
+        let metrics = std::env::temp_dir().join(format!("ent-env-{}.json", std::process::id()));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ent"))
+            .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+            .args(["run", "examples/ent/crawler.ent", "--metrics-json"])
+            .arg(&metrics)
+            .args(extra)
+            .env("ENT_ENGINE", "threaded")
+            .env("ENT_TIER_UP", "0")
+            .output()
+            .expect("spawn ent");
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let json = std::fs::read_to_string(&metrics).expect("metrics written");
+        let _ = std::fs::remove_file(&metrics);
+        let (_, count) = json
+            .split_once("\"threaded_entries\": ")
+            .expect("tier counters");
+        count[..count.find(',').unwrap()].parse::<u64>().unwrap()
+    };
+    assert!(threaded_entries(&[]) > 0, "ENT_ENGINE=threaded was ignored");
+    assert_eq!(threaded_entries(&["--engine", "bytecode"]), 0);
+}

@@ -39,9 +39,9 @@ use crate::value::{ObjRef, Value};
 
 /// Which enforcement strategy discharges mode obligations at run time.
 ///
-/// Selected per run via [`crate::RuntimeConfig::enforcement`], the CLI
-/// `--enforce` flag, or the `ENT_ENFORCE` environment variable (workloads
-/// and harness layers only — like `ENT_ENGINE`, the env var never leaks
+/// Selected per run via [`crate::RuntimeConfig::enforcement`], resolved
+/// at each entry point from the `--enforce` flag or the `ENT_ENFORCE`
+/// environment variable (see [`crate::Settings`]; the env var never leaks
 /// into [`crate::RuntimeConfig::default`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Enforcement {
@@ -76,10 +76,7 @@ impl Enforcement {
     /// The process-default strategy: `ENT_ENFORCE` (`guarded` |
     /// `transient`), or `Guarded` when unset or unparseable.
     pub fn from_env() -> Enforcement {
-        std::env::var("ENT_ENFORCE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
+        crate::Settings::from_env().enforcement
     }
 }
 

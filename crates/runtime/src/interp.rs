@@ -112,6 +112,12 @@ impl Engine {
             Engine::Threaded => "threaded",
         }
     }
+
+    /// The process-default engine: `ENT_ENGINE` (`tree` | `bytecode` |
+    /// `threaded`), or bytecode when unset or unparseable.
+    pub fn from_env() -> Engine {
+        crate::Settings::from_env().engine
+    }
 }
 
 /// When the threaded engine promotes a body from bytecode to tier-2
@@ -168,10 +174,7 @@ impl TierUp {
     /// The process-default threshold: `ENT_TIER_UP` (`off` | `0` | `N`),
     /// or the default threshold when unset or unparseable.
     pub fn from_env() -> TierUp {
-        std::env::var("ENT_TIER_UP")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
+        crate::Settings::from_env().tier_up
     }
 }
 

@@ -48,6 +48,7 @@ pub mod formal;
 mod interp;
 mod lower;
 mod profile;
+mod settings;
 mod stack;
 mod telemetry;
 mod value;
@@ -62,6 +63,7 @@ pub use lower::{lower_program, GMode, LoweredProgram};
 pub use profile::{
     Costs, MethodProfile, Profile, ProfileMode, ProfileReport, SampledMethod, SampledProfile,
 };
+pub use settings::Settings;
 pub use stack::{default_stack_size, parse_stack_size, with_interp_stack, BUILTIN_STACK_SIZE};
 pub use telemetry::{json_escape, json_f64, json_is_valid};
 pub use value::{ObjRef, RtMode, Value};

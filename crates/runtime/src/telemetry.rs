@@ -40,10 +40,9 @@ pub fn json_escape(s: &str) -> String {
 /// and never uses exponent notation); non-finite values become `null`.
 pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
-        let s = format!("{x}");
         // `Display` prints integral floats without a fraction ("5"), which
         // is still a valid JSON number.
-        s
+        format!("{x}")
     } else {
         "null".to_string()
     }

@@ -101,14 +101,6 @@ pub struct ServerConfig {
     pub quarantine: QuarantineConfig,
     /// Deterministic panic injection (soak only; `None` in production).
     pub chaos: Option<ChaosPlan>,
-    /// Execution engine for served runs when the request does not pick
-    /// one (`None` = the one-shot CLI default). Engine choice is
-    /// value-neutral — all engines are bit-identical — so this knob can
-    /// only change the daemon's timing.
-    pub engine: Option<ent_runtime::Engine>,
-    /// Tier-up threshold for served runs under the threaded engine
-    /// (`None` = the runtime default).
-    pub tier_up: Option<ent_runtime::TierUp>,
 }
 
 impl Default for ServerConfig {
@@ -124,8 +116,6 @@ impl Default for ServerConfig {
             modes: ModeConfig::default(),
             quarantine: QuarantineConfig::default(),
             chaos: None,
-            engine: None,
-            tier_up: None,
         }
     }
 }
@@ -301,16 +291,6 @@ impl Server {
                 payload: self.stats_json(),
             }),
             Op::Run | Op::Check => {
-                // The daemon-config engine applies below any per-request
-                // choice (requests cannot pick one today, so this is the
-                // daemon's engine whenever set).
-                let mut request = request;
-                if request.options.engine.is_none() {
-                    request.options.engine = inner.cfg.engine;
-                }
-                if request.options.tier_up.is_none() {
-                    request.options.tier_up = inner.cfg.tier_up;
-                }
                 let fingerprint = source_fingerprint(&request.src);
                 let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
                 let mode = st.modes.mode();

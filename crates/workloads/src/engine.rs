@@ -63,7 +63,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -241,143 +241,32 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
     Ok(lowered)
 }
 
-/// Process-wide engine override: 0 = unset, 1 = tree, 2 = bytecode,
-/// 3 = threaded.
-static ENGINE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+// The env forwarders below read the process environment on every call;
+// programs take their settings from the `Settings` passed to `prepare_e*`.
+// They stay only because `entbench/src/fig_grid.rs` calls them.
 
-/// Selects the evaluation engine every subsequently-prepared program runs
-/// on (harness binaries call this from their `--engine` flag before any
-/// grid work starts). Programs already prepared keep the engine they were
-/// prepared with.
-pub fn set_default_engine(engine: Engine) {
-    let tag = match engine {
-        Engine::Tree => 1,
-        Engine::Bytecode => 2,
-        Engine::Threaded => 3,
-    };
-    ENGINE_OVERRIDE.store(tag, Ordering::Relaxed);
-}
-
-/// The engine newly-prepared programs run on: the [`set_default_engine`]
-/// override when one was installed, else the `ENT_ENGINE` environment
-/// variable (`tree`, `bytecode`, or `threaded`), else the runtime default
-/// (bytecode). Bytecode compiled for a cached program is part of the
-/// shared `LoweredProgram`, so switching engines never recompiles
-/// anything.
+/// `ENT_ENGINE`, else bytecode.
 #[must_use]
 pub fn default_engine() -> Engine {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Engine::Tree,
-        2 => Engine::Bytecode,
-        3 => Engine::Threaded,
-        _ => std::env::var("ENT_ENGINE")
-            .ok()
-            .and_then(|v| Engine::parse(v.trim()))
-            .unwrap_or_default(),
-    }
+    Engine::from_env()
 }
 
-/// Forwards to [`default_engine`]; the fingerprint is ignored. Kept only
-/// because `entbench/src/fig_grid.rs` calls it.
+/// Forwards to [`default_engine`]; the fingerprint is ignored.
 #[must_use]
 pub fn default_engine_for(_fingerprint: u64) -> Engine {
     default_engine()
 }
 
-/// Process-wide tier-up override: `u32::MAX as usize + 1` = unset, else
-/// the packed [`TierUp`] (0 = always, `u32::MAX` = never, else the
-/// threshold).
-static TIER_UP_OVERRIDE: AtomicUsize = AtomicUsize::new(TIER_UP_UNSET);
-const TIER_UP_UNSET: usize = u32::MAX as usize + 1;
-
-fn pack_tier_up(t: TierUp) -> usize {
-    match t {
-        TierUp::Always => 0,
-        TierUp::Never => u32::MAX as usize,
-        TierUp::After(n) => n as usize,
-    }
-}
-
-fn unpack_tier_up(v: usize) -> TierUp {
-    match v {
-        0 => TierUp::Always,
-        v if v == u32::MAX as usize => TierUp::Never,
-        v => TierUp::After(v as u32),
-    }
-}
-
-/// Selects the tier-up threshold every subsequently-prepared program runs
-/// with (harness binaries call this from their `--tier-up` flag before
-/// any grid work starts). Only the threaded engine reads it.
-pub fn set_default_tier_up(tier_up: TierUp) {
-    TIER_UP_OVERRIDE.store(pack_tier_up(tier_up), Ordering::Relaxed);
-}
-
-/// The tier-up threshold newly-prepared programs run with: the
-/// [`set_default_tier_up`] override when one was installed, else the
-/// `ENT_TIER_UP` environment variable (`0` = always, `off` = never, else
-/// a hit count), else the runtime default.
+/// `ENT_TIER_UP`, else 8 hits.
 #[must_use]
 pub fn default_tier_up() -> TierUp {
-    match TIER_UP_OVERRIDE.load(Ordering::Relaxed) {
-        TIER_UP_UNSET => TierUp::from_env(),
-        v => unpack_tier_up(v),
-    }
+    TierUp::from_env()
 }
 
-/// Process-wide enforcement override: 0 = unset, 1 = guarded,
-/// 2 = transient.
-static ENFORCE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the enforcement strategy every subsequently-prepared program
-/// runs under (harness binaries call this from their `--enforce` flag
-/// before any grid work starts). Programs already prepared keep the
-/// strategy they were prepared with.
-pub fn set_default_enforcement(enforcement: Enforcement) {
-    let tag = match enforcement {
-        Enforcement::Guarded => 1,
-        Enforcement::Transient => 2,
-    };
-    ENFORCE_OVERRIDE.store(tag, Ordering::Relaxed);
-}
-
-/// The enforcement strategy newly-prepared programs run under: the
-/// [`set_default_enforcement`] override when one was installed, else the
-/// `ENT_ENFORCE` environment variable (`guarded` or `transient`), else
-/// the runtime default (guarded). Like `ENT_ENGINE`, the env var is read
-/// only at this harness layer — it never leaks into
-/// [`RuntimeConfig::default`](ent_runtime::RuntimeConfig).
+/// `ENT_ENFORCE`, else guarded.
 #[must_use]
 pub fn default_enforcement() -> Enforcement {
-    match ENFORCE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Enforcement::Guarded,
-        2 => Enforcement::Transient,
-        _ => Enforcement::from_env(),
-    }
-}
-
-/// The default worker count for batch runs: the `ENT_JOBS` environment
-/// variable when set and positive, else 1 (sequential, the reproducible
-/// default for published artifacts).
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::env::var("ENT_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Resolves a `--jobs` request: `0` means "one worker per available CPU".
-#[must_use]
-pub fn resolve_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
+    Enforcement::from_env()
 }
 
 /// Per-job failure policy for [`run_batch_outcomes`].
@@ -745,7 +634,7 @@ where
     F: Fn(&J, u32) -> R + Sync,
 {
     let stack_size = default_stack_size();
-    let workers = resolve_jobs(jobs).max(1).min(work.len().max(1));
+    let workers = jobs.max(1).min(work.len().max(1));
     let mut telemetry = BatchTelemetry {
         jobs: work.len() as u64,
         workers: workers as u64,
@@ -1216,11 +1105,5 @@ mod tests {
         // Zero workers count as one.
         assert_eq!(effective_chunk(80, 0), 10);
         assert_eq!(effective_chunk(80, 0), effective_chunk(80, 1));
-    }
-
-    #[test]
-    fn resolve_jobs_expands_zero() {
-        assert!(resolve_jobs(3) == 3);
-        assert!(resolve_jobs(0) >= 1);
     }
 }

@@ -11,18 +11,17 @@
 //!   big interpreter stacks).
 //!
 //! The `run_e*` convenience wrappers (prepare + run in one call) remain
-//! for one-off runs and tests.
+//! for one-off runs and tests. Every `prepare_e*` and `run_e*` takes the
+//! caller's resolved [`Settings`]; nothing here reads the environment.
 
 use std::sync::Arc;
 
 use ent_energy::{FaultPlan, Platform, PlatformKind};
 use ent_runtime::{
-    run_lowered, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig, TierUp,
+    run_lowered, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig, Settings, TierUp,
 };
 
-use crate::engine::{
-    default_enforcement, default_engine, default_tier_up, lowered_cached, source_fingerprint,
-};
+use crate::engine::{lowered_cached, source_fingerprint};
 use crate::programs::{e1_program, e2_program, e3_program};
 use crate::settings::{battery_for_boot, BenchmarkSpec, E3Settings};
 
@@ -63,19 +62,18 @@ pub struct PreparedProgram {
     pub platform: Platform,
     /// The shared lowered program.
     pub lowered: Arc<LoweredProgram>,
-    /// The evaluation engine every run of this program uses (captured
-    /// from [`crate::default_engine`] at prepare time). Bytecode lives in
+    /// The evaluation engine every run of this program uses (from the
+    /// [`Settings`] passed to `prepare_e*`). Bytecode lives in
     /// the shared `LoweredProgram`, compiled at most once per method no
     /// matter how many runs, threads, or engines touch the program.
     pub engine: Engine,
-    /// The tier-up threshold every run of this program uses (captured
-    /// from [`crate::default_tier_up`] at prepare time). Only the
-    /// threaded engine reads it.
+    /// The tier-up threshold every run of this program uses (from the
+    /// prepare-time [`Settings`]). Only the threaded engine reads it.
     pub tier_up: TierUp,
     /// The program's source fingerprint — the sharded program-cache key.
     pub fingerprint: u64,
-    /// The enforcement strategy every run of this program uses (captured
-    /// from [`crate::default_enforcement`] at prepare time).
+    /// The enforcement strategy every run of this program uses (from the
+    /// prepare-time [`Settings`]).
     pub enforcement: Enforcement,
 }
 
@@ -87,8 +85,9 @@ impl PreparedProgram {
 
     /// Runs one configuration on an explicit platform (the Figure 6
     /// overhead pair runs the tagged leg on the base platform). The
-    /// prepared engine overrides whatever the config carries, so every
-    /// `run_e*_prepared` entry point honors the harness `--engine` flag.
+    /// prepared settings override whatever the config carries, so every
+    /// `run_e*_prepared` entry point runs under the settings the program
+    /// was prepared with.
     pub fn run_on(&self, platform: Platform, config: RuntimeConfig) -> RunResult {
         let config = RuntimeConfig {
             engine: self.engine,
@@ -104,15 +103,6 @@ impl PreparedProgram {
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns the same prepared program pinned to an explicit enforcement
-    /// strategy (the differential harnesses sweep one program across the
-    /// strategy × engine grid).
-    #[must_use]
-    pub fn with_enforcement(mut self, enforcement: Enforcement) -> Self {
-        self.enforcement = enforcement;
         self
     }
 }
@@ -153,21 +143,36 @@ fn to_outcome(name: &str, result: RunResult) -> Outcome {
     }
 }
 
-/// Prepares a benchmark's E1 "battery-exception" program for a system and
-/// workload mode (compile-once cached).
-pub fn prepare_e1(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -> PreparedProgram {
-    let platform = platform_for(spec, system);
-    let src = e1_program(spec, &platform, workload);
-    let fingerprint = source_fingerprint(&src);
+/// Wraps `src` (compile-once cached) as a program that runs on
+/// `platform` under `settings`.
+fn prepared(
+    spec: &BenchmarkSpec,
+    platform: Platform,
+    src: &str,
+    settings: Settings,
+) -> PreparedProgram {
     PreparedProgram {
         name: spec.name,
-        lowered: lowered_cached(spec.name, &src),
+        lowered: lowered_cached(spec.name, src),
         platform,
-        engine: default_engine(),
-        tier_up: default_tier_up(),
-        enforcement: default_enforcement(),
-        fingerprint,
+        engine: settings.engine,
+        tier_up: settings.tier_up,
+        enforcement: settings.enforcement,
+        fingerprint: source_fingerprint(src),
     }
+}
+
+/// Prepares a benchmark's E1 "battery-exception" program for a system and
+/// workload mode (compile-once cached), to run under `settings`.
+pub fn prepare_e1(
+    spec: &BenchmarkSpec,
+    system: PlatformKind,
+    workload: usize,
+    settings: Settings,
+) -> PreparedProgram {
+    let platform = platform_for(spec, system);
+    let src = e1_program(spec, &platform, workload);
+    prepared(spec, platform, &src, settings)
 }
 
 /// Runs one E1 configuration against a prepared program: a boot mode
@@ -262,25 +267,23 @@ pub fn run_e1(
     workload: usize,
     silent: bool,
     seed: u64,
+    settings: Settings,
 ) -> Outcome {
-    run_e1_prepared(&prepare_e1(spec, system, workload), boot, silent, seed)
+    let prog = prepare_e1(spec, system, workload, settings);
+    run_e1_prepared(&prog, boot, silent, seed)
 }
 
 /// Prepares a benchmark's E2 "battery-casing" program for a system and
-/// workload mode (compile-once cached).
-pub fn prepare_e2(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -> PreparedProgram {
+/// workload mode (compile-once cached), to run under `settings`.
+pub fn prepare_e2(
+    spec: &BenchmarkSpec,
+    system: PlatformKind,
+    workload: usize,
+    settings: Settings,
+) -> PreparedProgram {
     let platform = platform_for(spec, system);
     let src = e2_program(spec, &platform, workload);
-    let fingerprint = source_fingerprint(&src);
-    PreparedProgram {
-        name: spec.name,
-        lowered: lowered_cached(spec.name, &src),
-        platform,
-        engine: default_engine(),
-        tier_up: default_tier_up(),
-        enforcement: default_enforcement(),
-        fingerprint,
-    }
+    prepared(spec, platform, &src, settings)
 }
 
 /// Runs one E2 configuration against a prepared program: the boot mode
@@ -302,31 +305,24 @@ pub fn run_e2(
     boot: usize,
     workload: usize,
     seed: u64,
+    settings: Settings,
 ) -> Outcome {
-    run_e2_prepared(&prepare_e2(spec, system, workload), boot, seed)
+    run_e2_prepared(&prepare_e2(spec, system, workload, settings), boot, seed)
 }
 
-/// Prepares a benchmark's E3 "temperature-casing" program on System A.
-/// `ent == false` is the plain-Java variant.
+/// Prepares a benchmark's E3 "temperature-casing" program on System A, to
+/// run under `settings`. `ent == false` is the plain-Java variant.
 pub fn prepare_e3(
     spec: &BenchmarkSpec,
     tasks: usize,
     task_seconds: f64,
     ent: bool,
+    settings: Settings,
 ) -> PreparedProgram {
     let platform = platform_of(PlatformKind::SystemA);
-    let settings = E3Settings::default();
-    let src = e3_program(spec, &platform, &settings, tasks, task_seconds, ent);
-    let fingerprint = source_fingerprint(&src);
-    PreparedProgram {
-        name: spec.name,
-        lowered: lowered_cached(spec.name, &src),
-        platform,
-        engine: default_engine(),
-        tier_up: default_tier_up(),
-        enforcement: default_enforcement(),
-        fingerprint,
-    }
+    let e3 = E3Settings::default();
+    let src = e3_program(spec, &platform, &e3, tasks, task_seconds, ent);
+    prepared(spec, platform, &src, settings)
 }
 
 /// Runs a prepared E3 program and returns the sampled `(time, °C)` trace.
@@ -351,8 +347,9 @@ pub fn run_e3(
     task_seconds: f64,
     ent: bool,
     seed: u64,
+    settings: Settings,
 ) -> Vec<(f64, f64)> {
-    run_e3_prepared(&prepare_e3(spec, tasks, task_seconds, ent), seed)
+    run_e3_prepared(&prepare_e3(spec, tasks, task_seconds, ent, settings), seed)
 }
 
 /// Runs a prepared E2 program twice — once with runtime tagging modeled
@@ -388,8 +385,13 @@ pub fn run_overhead_pair_prepared(
 /// twice — once with runtime tagging modeled, once without — and returns
 /// `(tagged_energy, baseline_energy)`. This is the Figure 6 overhead
 /// measurement.
-pub fn run_overhead_pair(spec: &BenchmarkSpec, system: PlatformKind, seed: u64) -> (f64, f64) {
-    run_overhead_pair_prepared(&prepare_e2(spec, system, 1), system, seed)
+pub fn run_overhead_pair(
+    spec: &BenchmarkSpec,
+    system: PlatformKind,
+    seed: u64,
+    settings: Settings,
+) -> (f64, f64) {
+    run_overhead_pair_prepared(&prepare_e2(spec, system, 1, settings), system, seed)
 }
 
 #[cfg(test)]
@@ -398,12 +400,17 @@ mod tests {
     use crate::settings::{all_benchmarks, benchmark};
     use ent_energy::PlatformKind::*;
 
+    /// The settings this test process runs under (`ENT_*`, else defaults).
+    fn settings() -> Settings {
+        Settings::from_env()
+    }
+
     #[test]
     fn e1_exceptions_fire_exactly_when_workload_exceeds_boot() {
         let spec = benchmark("jspider").unwrap();
         for boot in 0..3 {
             for workload in 0..3 {
-                let out = run_e1(&spec, SystemA, boot, workload, false, 7);
+                let out = run_e1(&spec, SystemA, boot, workload, false, 7, settings());
                 assert_eq!(
                     out.exception,
                     workload > boot,
@@ -430,7 +437,11 @@ mod tests {
         // This is guarded blame by definition, so the strategy is pinned
         // rather than inherited from `ENT_ENFORCE`.
         let spec = benchmark("sunflow").unwrap();
-        let prog = prepare_e1(&spec, SystemA, 2).with_enforcement(Enforcement::Guarded);
+        let guarded = Settings {
+            enforcement: Enforcement::Guarded,
+            ..settings()
+        };
+        let prog = prepare_e1(&spec, SystemA, 2, guarded);
         let checked = run_e1_prepared(&prog, 0, false, 9);
         assert!(checked.snapshot_failures > 0, "{checked:?}");
         assert_eq!(checked.dfall_failures, 0, "{checked:?}");
@@ -444,7 +455,11 @@ mod tests {
         // The transient twin: the same violation raises, but blame lands
         // in the transient counter and the guarded split stays empty.
         let spec = benchmark("sunflow").unwrap();
-        let prog = prepare_e1(&spec, SystemA, 2).with_enforcement(Enforcement::Transient);
+        let transient = Settings {
+            enforcement: Enforcement::Transient,
+            ..settings()
+        };
+        let prog = prepare_e1(&spec, SystemA, 2, transient);
         let checked = run_e1_prepared(&prog, 0, false, 9);
         assert!(checked.exception, "{checked:?}");
         assert!(checked.transient_failures > 0, "{checked:?}");
@@ -457,8 +472,8 @@ mod tests {
         let spec = benchmark("sunflow").unwrap();
         // energy_saver boot, full_throttle workload: the paper's largest
         // savings case.
-        let ent = run_e1(&spec, SystemA, 0, 2, false, 3);
-        let silent = run_e1(&spec, SystemA, 0, 2, true, 3);
+        let ent = run_e1(&spec, SystemA, 0, 2, false, 3, settings());
+        let silent = run_e1(&spec, SystemA, 0, 2, true, 3, settings());
         assert!(ent.exception && silent.exception);
         assert!(
             silent.energy_j > 1.5 * ent.energy_j,
@@ -471,7 +486,7 @@ mod tests {
     #[test]
     fn chaos_control_leg_matches_the_fault_off_runner() {
         let spec = benchmark("jspider").unwrap();
-        let prog = prepare_e1(&spec, SystemA, 1);
+        let prog = prepare_e1(&spec, SystemA, 1, settings());
         let plain = run_e1_prepared(&prog, 1, false, 7);
         let control = run_e1_chaos_prepared(&prog, 1, false, 7, None, 0);
         assert_eq!(control.result, Ok(plain));
@@ -483,7 +498,7 @@ mod tests {
     #[test]
     fn chaos_runs_are_deterministic_and_record_faults() {
         let spec = benchmark("jspider").unwrap();
-        let prog = prepare_e1(&spec, SystemA, 1);
+        let prog = prepare_e1(&spec, SystemA, 1, settings());
         let a = run_e1_chaos_prepared(&prog, 1, false, 7, Some(FaultPlan::chaos()), 11);
         let b = run_e1_chaos_prepared(&prog, 1, false, 7, Some(FaultPlan::chaos()), 11);
         assert_eq!(a, b);
@@ -495,7 +510,7 @@ mod tests {
         // E1 programs eliminate their mode cases at explicit targets, so
         // even an App degraded to the conservative bound completes.
         let spec = benchmark("jspider").unwrap();
-        let prog = prepare_e1(&spec, SystemA, 1);
+        let prog = prepare_e1(&spec, SystemA, 1, settings());
         let plan = FaultPlan {
             dropout_rate: 1.0,
             ..FaultPlan::default()
@@ -508,9 +523,9 @@ mod tests {
     #[test]
     fn prepared_runs_match_the_convenience_wrappers() {
         let spec = benchmark("crypto").unwrap();
-        let prog = prepare_e1(&spec, SystemA, 2);
+        let prog = prepare_e1(&spec, SystemA, 2, settings());
         let prepared = run_e1_prepared(&prog, 1, false, 13);
-        let direct = run_e1(&spec, SystemA, 1, 2, false, 13);
+        let direct = run_e1(&spec, SystemA, 1, 2, false, 13, settings());
         assert_eq!(prepared, direct);
     }
 
@@ -519,7 +534,7 @@ mod tests {
         for name in ["pagerank", "crypto", "video", "newpipe"] {
             let spec = benchmark(name).unwrap();
             let system = spec.primary_platform();
-            let prog = prepare_e2(&spec, system, 2);
+            let prog = prepare_e2(&spec, system, 2, settings());
             let es = run_e2_prepared(&prog, 0, 11).energy_j;
             let mg = run_e2_prepared(&prog, 1, 11).energy_j;
             let ft = run_e2_prepared(&prog, 2, 11).energy_j;
@@ -530,8 +545,8 @@ mod tests {
     #[test]
     fn time_fixed_benchmarks_have_fixed_duration_across_boots() {
         let spec = benchmark("video").unwrap();
-        let es = run_e2(&spec, SystemB, 0, 2, 5);
-        let ft = run_e2(&spec, SystemB, 2, 2, 5);
+        let es = run_e2(&spec, SystemB, 0, 2, 5, settings());
+        let ft = run_e2(&spec, SystemB, 2, 2, 5, settings());
         let rel = (es.time_s - ft.time_s).abs() / ft.time_s;
         assert!(
             rel < 0.02,
@@ -545,16 +560,16 @@ mod tests {
     #[test]
     fn batch_benchmarks_scale_time_with_mode() {
         let spec = benchmark("pagerank").unwrap();
-        let es = run_e2(&spec, SystemA, 0, 2, 5);
-        let ft = run_e2(&spec, SystemA, 2, 2, 5);
+        let es = run_e2(&spec, SystemA, 0, 2, 5, settings());
+        let ft = run_e2(&spec, SystemA, 2, 2, 5, settings());
         assert!(es.time_s < ft.time_s);
     }
 
     #[test]
     fn e3_ent_hovers_while_java_climbs() {
         let spec = benchmark("xalan").unwrap();
-        let ent = run_e3(&spec, 260, 0.18, true, 1);
-        let java = run_e3(&spec, 260, 0.18, false, 1);
+        let ent = run_e3(&spec, 260, 0.18, true, 1, settings());
+        let java = run_e3(&spec, 260, 0.18, false, 1, settings());
         let peak = |t: &[(f64, f64)]| t.iter().map(|(_, c)| *c).fold(0.0, f64::max);
         let ent_peak = peak(&ent);
         let java_peak = peak(&java);
@@ -583,7 +598,7 @@ mod tests {
     fn overhead_is_small_for_every_benchmark() {
         for spec in all_benchmarks() {
             let system = spec.primary_platform();
-            let (tagged, baseline) = run_overhead_pair(&spec, system, 21);
+            let (tagged, baseline) = run_overhead_pair(&spec, system, 21, settings());
             let pct = (tagged - baseline) / baseline * 100.0;
             assert!(
                 pct.abs() < 8.0,

@@ -10,6 +10,7 @@
 use ent_energy::PlatformKind;
 use ent_runtime::{
     default_stack_size, run_lowered, with_interp_stack, Engine, ProfileMode, RuntimeConfig,
+    Settings,
 };
 use ent_workloads::{all_benchmarks, prepare_e2, run_batch};
 
@@ -41,7 +42,7 @@ fn sampled_estimates_agree_with_exact_on_fig6() {
         let mut overlaps = Vec::new();
         let mut coverages = Vec::new();
         for spec in all_benchmarks() {
-            let prepared = prepare_e2(&spec, PlatformKind::SystemA, 1);
+            let prepared = prepare_e2(&spec, PlatformKind::SystemA, 1, Settings::default());
             let exact_run = run_lowered(
                 &prepared.lowered,
                 prepared.platform.clone(),
@@ -123,7 +124,7 @@ fn sampled_telemetry_is_byte_identical_across_jobs_and_engines() {
     let specs = all_benchmarks();
     let telemetry = |jobs: usize, engine: Engine| -> Vec<String> {
         run_batch(jobs, &specs, |spec| {
-            let prepared = prepare_e2(spec, PlatformKind::SystemA, 1);
+            let prepared = prepare_e2(spec, PlatformKind::SystemA, 1, Settings::default());
             run_lowered(
                 &prepared.lowered,
                 prepared.platform.clone(),

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use ent_energy::PlatformKind;
+use ent_runtime::Settings;
 use ent_workloads::{
     benchmark, prepare_e1, run_batch_outcomes, run_batch_outcomes_with_telemetry, run_e1_prepared,
     BatchPolicy, JobError,
@@ -49,8 +50,9 @@ fn skewed_interpreter_batches_are_byte_identical_across_worker_counts() {
     // that drew light cells drain their ranges and steal the
     // heavy tail. Every job's behavior — benchmark, config, seed, even
     // its sleep — derives from its index, never from execution order.
-    let heavy = prepare_e1(&benchmark("sunflow").unwrap(), PlatformKind::SystemA, 2);
-    let light = prepare_e1(&benchmark("jspider").unwrap(), PlatformKind::SystemA, 0);
+    let (sunflow, jspider) = (benchmark("sunflow").unwrap(), benchmark("jspider").unwrap());
+    let heavy = prepare_e1(&sunflow, PlatformKind::SystemA, 2, Settings::from_env());
+    let light = prepare_e1(&jspider, PlatformKind::SystemA, 0, Settings::from_env());
     let work: Vec<usize> = (0..36).collect();
     let run = |jobs: usize| {
         run_batch_outcomes(jobs, &work, &BatchPolicy::default(), |&i, _| {

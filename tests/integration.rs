@@ -166,7 +166,8 @@ fn harness_and_direct_runtime_agree_on_e1() {
             ..RuntimeConfig::default()
         },
     );
-    let via_runner = run_e1(&spec, PlatformKind::SystemA, 0, 2, false, 42);
+    let settings = ent_runtime::Settings::from_env();
+    let via_runner = run_e1(&spec, PlatformKind::SystemA, 0, 2, false, 42, settings);
     assert_eq!(direct.measurement.energy_j, via_runner.energy_j);
     assert!(via_runner.exception);
 }
