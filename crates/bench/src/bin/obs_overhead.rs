@@ -3,8 +3,9 @@
 //! Measures interpreter throughput (`RunStats::steps` per wall-clock
 //! second) in six configurations of `record_events` × `ProfileMode`
 //! (off, events, exact profile, exact+events, sampled profile,
-//! sampled+events), asserts the semantics fingerprint is bit-identical
-//! across all of them (the zero-interference contract), runs a
+//! sampled+events), timed in interleaved rounds and reported as
+//! per-configuration medians, asserts the semantics fingerprint is
+//! bit-identical across all of them (the zero-interference contract), runs a
 //! sampled-vs-exact agreement pass (top-5 exclusive-steps rank overlap
 //! and CI coverage of the exact values), and writes `BENCH_obs.json`
 //! at the workspace root.
@@ -33,6 +34,11 @@ const SEED: u64 = 42;
 const BATTERY: f64 = 0.75;
 /// Per-configuration measurement budget (seconds of wall time).
 const BUDGET_S: f64 = 0.15;
+/// Timing rounds per benchmark. Each round times every configuration for
+/// `BUDGET_S / ROUNDS`, in an order that rotates by one per round, and a
+/// configuration's throughput is its median round, so a shift in host
+/// speed lands on every configuration instead of on one ratio.
+const ROUNDS: usize = 7;
 /// Sample period for the agreement pass: finer than the default so even
 /// the smallest E2 program (~1.2k steps) takes enough samples for a
 /// meaningful rank comparison. The overhead columns use the default.
@@ -137,24 +143,35 @@ fn measure_on_worker() -> Vec<Sample> {
         let fp = fingerprint(&plain);
         let steps = plain.stats.steps;
 
+        let configs = configs();
         let mut semantics_match = true;
-        let mut sps = [0.0f64; 6];
-        for (i, (label, events, profile)) in configs().iter().enumerate() {
+        for (label, events, profile) in &configs {
             // Warm-up run doubles as the fingerprint check.
             let warm = run_lowered(lowered, platform.clone(), config(*events, *profile));
             if fingerprint(&warm) != fp {
                 semantics_match = false;
                 eprintln!("  {} [{}]: FINGERPRINT MISMATCH", spec.name, label);
             }
-            let start = Instant::now();
-            let mut runs = 0u32;
-            while start.elapsed().as_secs_f64() < BUDGET_S || runs < 3 {
-                let r = run_lowered(lowered, platform.clone(), config(*events, *profile));
-                assert_eq!(r.stats.steps, steps, "{} must be deterministic", spec.name);
-                runs += 1;
-            }
-            sps[i] = steps as f64 * runs as f64 / start.elapsed().as_secs_f64();
         }
+        let mut rounds: [Vec<f64>; 6] = Default::default();
+        for round in 0..ROUNDS {
+            for k in 0..configs.len() {
+                let i = (round + k) % configs.len();
+                let (_, events, profile) = configs[i];
+                let start = Instant::now();
+                let mut runs = 0u32;
+                while start.elapsed().as_secs_f64() < BUDGET_S / ROUNDS as f64 || runs < 3 {
+                    let r = run_lowered(lowered, platform.clone(), config(events, profile));
+                    assert_eq!(r.stats.steps, steps, "{} must be deterministic", spec.name);
+                    runs += 1;
+                }
+                rounds[i].push(steps as f64 * runs as f64 / start.elapsed().as_secs_f64());
+            }
+        }
+        let sps = rounds.map(|mut rates| {
+            rates.sort_by(f64::total_cmp);
+            rates[rates.len() / 2]
+        });
 
         let agreement = agreement_pass(lowered, platform);
         eprintln!(

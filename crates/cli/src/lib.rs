@@ -358,6 +358,18 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`\n\n{USAGE}")),
         }
     }
+    // `eval` prints the value alone, so these flags would do nothing.
+    if options.command == Command::Eval {
+        for (set, flag) in [
+            (options.metrics_json.is_some(), "--metrics-json"),
+            (options.events, "--events"),
+            (options.trace, "--trace"),
+        ] {
+            if set {
+                return Err(format!("`{flag}` does not apply to `eval`; use `ent run`"));
+            }
+        }
+    }
     // The sampling knobs only mean something when a sampled profile is in
     // force (the flag, or the ENT_PROFILE default).
     if (options.sample_period.is_some() || options.sample_seed.is_some())
@@ -372,6 +384,15 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 impl Options {
+    /// The engine, tier-up and enforcement in force: each flag, else its
+    /// `ENT_*` environment variable, else the runtime default (see
+    /// [`Settings::resolve`]).
+    pub fn settings(&self) -> Settings {
+        Settings::resolve(self.engine, self.tier_up, self.enforce, |name| {
+            std::env::var(name).ok()
+        })
+    }
+
     /// The profiling mode in force: the `--profile` flag if given, else
     /// the `ENT_PROFILE` environment default, with `--sample-period` /
     /// `--sample-seed` folded into sampled mode.
@@ -607,19 +628,15 @@ pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) ->
 }
 
 /// The platform and run configuration `options` select: the one builder
-/// behind `run`, `eval` and served runs. Engine, tier-up and enforcement
-/// resolve through [`Settings::resolve`] — the flag, else its `ENT_*`
-/// environment variable, else the runtime default.
+/// behind `run`, `eval` and served runs, with [`Options::settings`] in
+/// force.
 fn run_config(options: &Options) -> (Platform, RuntimeConfig) {
     let platform = match options.platform.as_str() {
         "b" => Platform::system_b(),
         "c" => Platform::system_c(),
         _ => Platform::system_a(),
     };
-    let settings = Settings::resolve(options.engine, options.tier_up, options.enforce, |name| {
-        std::env::var(name).ok()
-    });
-    let mut config = settings.apply(RuntimeConfig {
+    let mut config = options.settings().apply(RuntimeConfig {
         silent: options.silent,
         battery_level: options.battery,
         seed: options.seed,

@@ -68,6 +68,35 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
 }
 
 #[test]
+fn eval_rejects_the_run_report_flags_it_would_ignore() {
+    // `eval` prints the value alone: a flag asking for a metrics file, an
+    // event log or a trace is a usage error naming the flag, and no file
+    // is written.
+    let ent = env!("CARGO_BIN_EXE_ent");
+    let dir = std::env::temp_dir().join(format!("ent-eval-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("m.json");
+    let metrics = metrics.to_str().unwrap();
+    for flags in [
+        &["--metrics-json", metrics][..],
+        &["--events"][..],
+        &["--trace"][..],
+    ] {
+        let out = std::process::Command::new(ent)
+            .args(["eval", "1 + 2"])
+            .args(flags)
+            .output()
+            .expect("spawn ent");
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flags[0]), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a value");
+    }
+    assert!(!std::path::Path::new(metrics).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn compile_errors_are_distinct_from_runtime_errors() {
     let (code, out) = cli(
         &["run", "x.ent"],

@@ -64,6 +64,9 @@ pub use profile::{
     Costs, MethodProfile, Profile, ProfileMode, ProfileReport, SampledMethod, SampledProfile,
 };
 pub use settings::Settings;
-pub use stack::{default_stack_size, parse_stack_size, with_interp_stack, BUILTIN_STACK_SIZE};
+pub use stack::{
+    default_stack_size, interp_worker, on_fresh_interp_stack, parse_stack_size, with_interp_stack,
+    BUILTIN_STACK_SIZE,
+};
 pub use telemetry::{json_escape, json_f64, json_is_valid};
 pub use value::{ObjRef, RtMode, Value};

@@ -10,18 +10,29 @@
 //! borrowed programs across the channel. This module replaces it with a
 //! sound, re-entrant primitive:
 //!
-//! * [`with_interp_stack`] runs a closure on a thread whose stack is at
-//!   least the requested size, spawning a scoped worker when the current
-//!   thread is not already such a worker. Scoped spawning borrows freely
-//!   (no `'static`, no `unsafe`), and every call gets its own worker, so
-//!   any number of threads may run interpreters concurrently.
-//! * Callers that run *many* programs — the batch engine, the perf
-//!   harness — wrap their whole loop in one `with_interp_stack` call:
-//!   the worker is marked thread-local, nested calls (including every
-//!   [`crate::run_lowered`] inside) detect the mark and run directly on
-//!   the current thread, so the per-run cost is zero. That is the
-//!   "reusable big-stack worker" of the engine's pool: one scoped spawn
-//!   per worker lifetime, not per run.
+//! * [`interp_worker`] is the one place an interpreter thread is built:
+//!   a thread builder with the interpreter stack size, and the thread's
+//!   body wrapped to set the worker mark first. Spawned scoped, it
+//!   borrows freely (no `'static`, no `unsafe`); spawned plain, it is a
+//!   long-lived worker.
+//! * [`with_interp_stack`] runs a closure on an interpreter worker: in
+//!   place when the current thread already is one (the mark is set),
+//!   otherwise on a fresh scoped worker ([`on_fresh_interp_stack`]) whose
+//!   stack is unmapped when it returns. Every call that spawns gets its
+//!   own worker, so any number of threads may run interpreters
+//!   concurrently.
+//! * Callers that run *many* programs run them on marked workers, so every
+//!   nested call (including each [`crate::run_lowered`]) runs in place
+//!   and the per-run cost is zero. The batch engine spawns one worker per
+//!   pool slot per batch, and a single-worker batch or the perf harness
+//!   wraps its loop in one `with_interp_stack` call. The `ent-serve` pool
+//!   threads are persistent workers: a job runs in place unless it could
+//!   leave the worker holding a large native stack (tree-walker runs,
+//!   sources over 8 KiB), and those jobs take a fresh scoped worker. Touched
+//!   stack pages stay resident on a persistent thread, so what runs in place
+//!   must keep its native depth small: the bytecode and threaded engines keep
+//!   their frames on the heap, and the frontend's native depth is bounded by
+//!   the source length.
 //!
 //! The default stack size is 512 MiB of (lazily committed) virtual
 //! memory, overridable per run via [`crate::RuntimeConfig::stack_size`]
@@ -32,6 +43,7 @@
 use std::cell::Cell;
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
+use std::thread::Builder;
 
 /// The built-in interpreter stack size: 512 MiB, as the seed interpreter
 /// hardcoded. Virtual memory only — pages are committed on first touch.
@@ -43,7 +55,7 @@ const MIN_STACK_SIZE: usize = 1024 * 1024;
 
 thread_local! {
     /// Whether the current thread is an interpreter worker: its stack was
-    /// sized by [`with_interp_stack`], so nested runs may recurse in place.
+    /// sized by [`interp_worker`], so nested runs may recurse in place.
     static ON_INTERP_STACK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -87,15 +99,31 @@ pub fn default_stack_size() -> usize {
     })
 }
 
+/// Builds an interpreter worker named `name`: a thread builder whose
+/// stack is at least `stack_size` bytes, and `f` wrapped to mark the
+/// thread as a worker before it runs, so every [`with_interp_stack`] on
+/// the thread runs in place. Spawn the pair with `Builder::spawn` for a
+/// long-lived worker or `Builder::spawn_scoped` to borrow from the caller.
+pub fn interp_worker<R, F>(name: String, stack_size: usize, f: F) -> (Builder, impl FnOnce() -> R)
+where
+    F: FnOnce() -> R,
+{
+    let builder = Builder::new()
+        .name(name)
+        .stack_size(stack_size.max(MIN_STACK_SIZE));
+    let body = move || {
+        ON_INTERP_STACK.with(|flag| flag.set(true));
+        f()
+    };
+    (builder, body)
+}
+
 /// Runs `f` on a thread whose stack is at least `stack_size` bytes.
 ///
-/// If the current thread is already an interpreter worker (a previous
-/// `with_interp_stack` frame is on its stack), `f` runs directly — this
-/// makes the primitive cheap to nest and lets pool workers amortize one
-/// spawn over many runs. Otherwise a scoped worker thread is spawned,
-/// `f` runs there while the caller blocks on the join, and panics are
-/// re-raised on the calling thread. Fully re-entrant: concurrent callers
-/// each get their own worker.
+/// If the current thread is already an interpreter worker (it was built by
+/// [`interp_worker`]), `f` runs directly — this makes the primitive cheap
+/// to nest and lets pool workers amortize one spawn over many runs.
+/// Otherwise `f` runs on a fresh worker ([`on_fresh_interp_stack`]).
 pub fn with_interp_stack<R, F>(stack_size: usize, f: F) -> R
 where
     R: Send,
@@ -104,17 +132,24 @@ where
     if ON_INTERP_STACK.with(Cell::get) {
         return f();
     }
-    let stack_size = stack_size.max(MIN_STACK_SIZE);
+    on_fresh_interp_stack(stack_size, f)
+}
+
+/// Runs `f` on a new scoped interpreter worker, even when the current
+/// thread is one, while the caller blocks on the join; panics are
+/// re-raised on the calling thread. The worker's stack is unmapped when
+/// `f` returns, so whatever native depth `f` reaches is not retained.
+pub fn on_fresh_interp_stack<R, F>(stack_size: usize, f: F) -> R
+where
+    R: Send,
+    F: FnOnce() -> R + Send,
+{
     std::thread::scope(|s| {
-        let handle = std::thread::Builder::new()
-            .name("ent-interp".into())
-            .stack_size(stack_size)
-            .spawn_scoped(s, move || {
-                ON_INTERP_STACK.with(|flag| flag.set(true));
-                f()
-            })
-            .expect("spawning an interpreter worker thread");
-        handle.join()
+        let (builder, body) = interp_worker("ent-interp".into(), stack_size, f);
+        builder
+            .spawn_scoped(s, body)
+            .expect("spawning an interpreter worker thread")
+            .join()
     })
     .unwrap_or_else(|panic| resume_unwind(panic))
 }
@@ -150,6 +185,31 @@ mod tests {
         let caller = std::thread::current().id();
         let worker = with_interp_stack(MIN_STACK_SIZE, || std::thread::current().id());
         assert_ne!(caller, worker);
+    }
+
+    #[test]
+    fn fresh_stacks_spawn_even_on_a_worker() {
+        with_interp_stack(MIN_STACK_SIZE, || {
+            let outer = std::thread::current().id();
+            let fresh = on_fresh_interp_stack(MIN_STACK_SIZE, || {
+                assert!(ON_INTERP_STACK.with(Cell::get), "fresh workers are marked");
+                std::thread::current().id()
+            });
+            assert_ne!(outer, fresh);
+        });
+    }
+
+    #[test]
+    fn plain_spawned_workers_run_nested_calls_in_place() {
+        let (builder, body) = interp_worker("t".into(), MIN_STACK_SIZE, || {
+            let id = std::thread::current().id();
+            (
+                id,
+                with_interp_stack(MIN_STACK_SIZE, || std::thread::current().id()),
+            )
+        });
+        let (outer, inner) = builder.spawn(body).unwrap().join().unwrap();
+        assert_eq!(outer, inner);
     }
 
     #[test]

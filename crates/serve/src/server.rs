@@ -26,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use ent_cli::{run_prepared, Options, EXIT_DEGRADED, EXIT_OK, EXIT_RUNTIME};
-use ent_runtime::json_f64;
+use ent_runtime::{default_stack_size, interp_worker, json_f64, on_fresh_interp_stack, Engine};
 use ent_workloads::{
     lowered_cache_shard_entries, lowered_cache_stats, run_job_isolated, source_fingerprint,
     try_lowered_cached, BatchPolicy,
@@ -242,13 +242,17 @@ impl Server {
             shutdown: AtomicBool::new(false),
             seq: AtomicU64::new(0),
         });
+        // Persistent interpreter workers: a job's frontend and run execute
+        // on the worker's own big stack (see [`run_placed`]).
         let workers = (0..workers_n)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("ent-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn worker")
+                let (builder, body) = interp_worker(
+                    format!("ent-serve-worker-{i}"),
+                    default_stack_size(),
+                    move || worker_loop(&inner),
+                );
+                builder.spawn(body).expect("spawn worker")
             })
             .collect();
         Server { inner, workers }
@@ -577,9 +581,30 @@ fn worker_loop(inner: &Arc<Inner>) {
                 st = inner.available.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let reply = process_job(inner, &job);
+        let reply = run_placed(&job.request.options, &job.request.src, || {
+            process_job(inner, &job)
+        });
         // A submitter that gave up and dropped its receiver is fine.
         let _ = job.reply_tx.send(reply);
+    }
+}
+
+/// The longest source a job may bring to run in place on a worker. The
+/// frontend's native stack grows with nesting, at most about 1.9 KB per
+/// source byte, so an in-place job can leave at most ~16 MB of touched
+/// stack resident on its worker.
+const IN_PLACE_SRC_MAX: usize = 8 * 1024;
+
+/// Runs `f`, the whole of one job, where it cannot leave its persistent
+/// worker holding a large native stack: in place, unless the resolved
+/// engine is the tree walker (it recurses natively, as deep as the
+/// program does) or the source is over [`IN_PLACE_SRC_MAX`]. Those jobs
+/// run on a fresh scoped interpreter stack, unmapped when they return.
+fn run_placed<R: Send>(options: &Options, src: &str, f: impl FnOnce() -> R + Send) -> R {
+    if src.len() <= IN_PLACE_SRC_MAX && options.settings().engine != Engine::Tree {
+        f()
+    } else {
+        on_fresh_interp_stack(options.stack_size.unwrap_or_else(default_stack_size), f)
     }
 }
 
@@ -860,6 +885,26 @@ mod tests {
         };
         assert!(payload.contains("\"ok\": true"));
         server.shutdown();
+    }
+
+    #[test]
+    fn small_jobs_run_in_place_and_tree_or_large_jobs_off_the_worker() {
+        let options = |engine| Options {
+            engine: Some(engine),
+            ..parse_request(&run_line(HELLO, "t", "p")).unwrap().options
+        };
+        let large = "x".repeat(IN_PLACE_SRC_MAX + 1);
+        let (builder, body) = interp_worker("placement".into(), 1 << 20, move || {
+            let here = std::thread::current().id();
+            let on = |engine, src: &str| {
+                run_placed(&options(engine), src, || std::thread::current().id())
+            };
+            assert_eq!(on(Engine::Bytecode, HELLO), here, "small bytecode job");
+            assert_eq!(on(Engine::Threaded, HELLO), here, "small threaded job");
+            assert_ne!(on(Engine::Bytecode, &large), here, "job over 8 KiB");
+            assert_ne!(on(Engine::Tree, HELLO), here, "tree-engine job");
+        });
+        builder.spawn(body).unwrap().join().unwrap();
     }
 
     #[test]

@@ -46,9 +46,9 @@
 //! * the engine's half: every job index is claimed by exactly one worker
 //!   (front-claims and back-steals CAS the same range word, so the blocks
 //!   they remove are disjoint), results are tagged with their job index
-//!   and assembled in job order after the batch, each worker wraps one
-//!   [`ent_runtime::with_interp_stack`] frame around its whole loop, and
-//!   nothing about a run depends on which worker picks it up;
+//!   and assembled in job order after the batch, each worker is one
+//!   big-stack thread ([`ent_runtime::interp_worker`]) running its whole
+//!   loop, and nothing about a run depends on which worker picks it up;
 //! * the caller's half: each job's behavior — in particular its RNG seed —
 //!   must derive from the job's *identity* (its position in the
 //!   enumerated grid), never from execution order or shared mutable
@@ -69,7 +69,8 @@ use std::time::{Duration, Instant};
 
 use ent_core::compile;
 use ent_runtime::{
-    default_stack_size, with_interp_stack, Enforcement, Engine, LoweredProgram, TierUp,
+    default_stack_size, interp_worker, with_interp_stack, Enforcement, Engine, LoweredProgram,
+    TierUp,
 };
 
 /// Lock stripes in the lowered-program cache. Sized for the workloads the
@@ -85,9 +86,10 @@ pub const LOWERED_CACHE_SHARDS: usize = 8;
 pub const LOWERED_CACHE_CAP: usize = 256;
 
 struct Shard {
-    map: HashMap<String, Arc<LoweredProgram>>,
-    /// Keys in insertion order, oldest first.
-    order: VecDeque<String>,
+    map: HashMap<Arc<str>, Arc<LoweredProgram>>,
+    /// Keys in insertion order, oldest first; each shares its text with
+    /// the map's key.
+    order: VecDeque<Arc<str>>,
 }
 
 fn shards() -> &'static [Mutex<Shard>] {
@@ -236,8 +238,9 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
         s.map.remove(&oldest);
         CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
     }
-    s.map.insert(src.to_string(), Arc::clone(&lowered));
-    s.order.push_back(src.to_string());
+    let key: Arc<str> = Arc::from(src);
+    s.map.insert(Arc::clone(&key), Arc::clone(&lowered));
+    s.order.push_back(key);
     Ok(lowered)
 }
 
@@ -616,11 +619,11 @@ fn effective_chunk(jobs: usize, workers: usize) -> u32 {
 /// index (0 for the first try) so retry-aware jobs can vary their
 /// behavior; deterministic callers ignore it.
 ///
-/// Each worker executes inside a single [`with_interp_stack`] frame, so
-/// every `run_lowered` a job makes runs directly on the worker's (already
-/// big) stack — the pool reuses one spawned worker per thread, not one
-/// per run. With `jobs == 1` the batch runs sequentially on one such
-/// worker; under the module-level determinism contract the results are
+/// Each worker is one thread built by [`interp_worker`], so every
+/// `run_lowered` a job makes runs directly on the worker's (already big)
+/// stack — one spawn per worker per batch, not one per run. With
+/// `jobs == 1` the batch runs sequentially inside one [`with_interp_stack`]
+/// call; under the module-level determinism contract the results are
 /// bit-identical either way.
 pub fn run_batch_outcomes_with_telemetry<J, R, F>(
     jobs: usize,
@@ -667,8 +670,8 @@ where
                 let ranges = &ranges;
                 let counters = &counters;
                 let f = &f;
-                s.spawn(move || {
-                    with_interp_stack(stack_size, || {
+                let (builder, body) =
+                    interp_worker(format!("ent-batch-{w}"), stack_size, move || {
                         let mut mine = Vec::new();
                         'work: loop {
                             // Owner side: drain our own range chunk by chunk.
@@ -699,8 +702,10 @@ where
                             break;
                         }
                         mine
-                    })
-                })
+                    });
+                builder
+                    .spawn_scoped(s, body)
+                    .expect("spawning a batch worker thread")
             })
             .collect();
         handles
